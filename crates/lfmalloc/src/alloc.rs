@@ -35,7 +35,8 @@ enum NewSb {
 /// Small-block malloc: the `while(1)` ladder of Figure 4's `malloc`.
 ///
 /// `off` is the user-data offset inside the block (`>= PREFIX_SIZE`);
-/// the descriptor prefix lands at `block + off - 8`.
+/// the descriptor prefix lands at `block + off - 8`. `tid` comes from
+/// the entry step.
 ///
 /// # Safety
 ///
@@ -44,6 +45,7 @@ pub(crate) unsafe fn malloc_small<S: PageSource>(
     inner: &Inner<S>,
     ci: usize,
     off: usize,
+    tid: Option<usize>,
 ) -> *mut u8 {
     // Intentionally planted bug, reachable only when the
     // `alloc.double_handout` failpoint is armed: hand out the previous
@@ -70,7 +72,7 @@ pub(crate) unsafe fn malloc_small<S: PageSource>(
     };
     #[cfg(not(feature = "failpoints"))]
     let stash = |p: *mut u8| p;
-    let heap = inner.heap_for(ci);
+    let heap = inner.heap_for(ci, tid);
     // Latency classification follows the serving arm: Active hits are
     // the fast path, partial/new-superblock hits the slow path.
     let t0 = crate::lat_start!();
@@ -127,7 +129,7 @@ pub(crate) unsafe fn abandon_reservation<S: PageSource>(
     inner: &Inner<S>,
     ci: usize,
 ) -> bool {
-    let heap = inner.heap_for(ci);
+    let heap = inner.heap_for(ci, crate::heap::try_thread_id());
     let mut oldactive = heap.load_active();
     loop {
         if oldactive.is_null() {

@@ -40,7 +40,7 @@ pub enum HeapMode {
     /// One heap per "processor": thread id hashes into `n` heaps. The
     /// paper sizes this "proportional to the number of processors".
     PerCpu(usize),
-    /// One heap total, skipping the thread-id lookup — the §4.2.4
+    /// One heap total, chosen without the thread id — the §4.2.4
     /// uniprocessor optimization ("15% increase in contention-free
     /// speedup").
     Single,

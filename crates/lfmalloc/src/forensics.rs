@@ -8,10 +8,11 @@
 //!
 //! * **Flight recorder** — per-thread lock-free rings of the most
 //!   recent allocator operations (op kind, size class, pointer, thread,
-//!   monotonic sequence number). Threads claim ring slots first-touch
-//!   with the same epoch-keyed thread-local scheme as the profiler's
-//!   sampler slots, so instances never share streams and the rings
-//!   survive fork (plain memory, no locks). Writers publish each entry
+//!   monotonic sequence number). A thread's ring is picked by its
+//!   per-instance thread index, which the sampler shares (the
+//!   `(instance epoch, thread index)` pair of `thread.rs`), so
+//!   instances never share streams and the rings survive fork (plain
+//!   memory, no locks). Writers publish each entry
 //!   by storing its sequence word last with `Release` after zeroing it,
 //!   so a reader (possibly a signal handler interrupting the writer
 //!   mid-entry) either sees a fully-written entry or skips it.
@@ -47,7 +48,7 @@
 //! the reporter immediately restores the old disposition and
 //! re-raises.
 
-use core::cell::{Cell, UnsafeCell};
+use core::cell::UnsafeCell;
 use core::sync::atomic::{AtomicI32, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::alloc::{GlobalAlloc, Layout, System};
 
@@ -157,12 +158,6 @@ pub(crate) fn unpack_meta(meta: u64) -> (u64, u16, u32) {
 /// `forensics` feature.
 #[derive(Debug)]
 pub(crate) struct ForensicsState {
-    /// Distinguishes this instance's recorder stream in the
-    /// thread-local slot (see [`FLIGHT_THREAD`]); process-unique and
-    /// never zero — the same scheme as the profiler's sampler epoch.
-    epoch: u64,
-    /// Dense per-instance thread indices, issued in first-touch order.
-    next_thread: AtomicU32,
     /// `RING_THREADS` rings, system-allocated (zeroed = all empty).
     rings: *mut RingSlot,
     /// Global op sequence; starts at 1 so 0 stays the "empty" marker.
@@ -181,14 +176,6 @@ pub(crate) struct ForensicsState {
 unsafe impl Send for ForensicsState {}
 unsafe impl Sync for ForensicsState {}
 
-static FORENSICS_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// `(instance epoch, ring index + 1)`: the ring slot this thread
-    /// last claimed, keyed by instance epoch (re-arms on mismatch).
-    static FLIGHT_THREAD: Cell<(u64, u32)> = const { Cell::new((0, 0)) };
-}
-
 impl ForensicsState {
     /// Allocates the rings; `None` when the system allocator is
     /// exhausted.
@@ -200,8 +187,6 @@ impl ForensicsState {
             return None;
         }
         Some(ForensicsState {
-            epoch: FORENSICS_EPOCH.fetch_add(1, Ordering::Relaxed) + 1,
-            next_thread: AtomicU32::new(0),
             rings,
             seq: AtomicU64::new(1),
             dropped: Counter::new(),
@@ -229,28 +214,22 @@ impl Drop for ForensicsState {
     }
 }
 
-/// Records one op into the calling thread's ring. Two relaxed
-/// `fetch_add`s plus three stores; called only when the feature is
-/// compiled in.
+/// Records one op into the ring of per-instance thread index `index`
+/// (as the entry step resolved it). Two relaxed `fetch_add`s plus three
+/// stores; called only when the feature is compiled in.
 #[inline]
-pub(crate) fn record<S: PageSource>(inner: &Inner<S>, op: OpKind, class: u16, ptr: usize) {
+pub(crate) fn record<S: PageSource>(
+    inner: &Inner<S>,
+    index: Option<u32>,
+    op: OpKind,
+    class: u16,
+    ptr: usize,
+) {
     let st = &inner.forensics;
-    let tid = match FLIGHT_THREAD.try_with(|slot| {
-        let (epoch, idx1) = slot.get();
-        if epoch == st.epoch && idx1 != 0 {
-            idx1 - 1
-        } else {
-            let idx = st.next_thread.fetch_add(1, Ordering::Relaxed);
-            slot.set((st.epoch, idx + 1));
-            idx
-        }
-    }) {
-        Ok(t) => t,
-        Err(_) => {
-            // TLS teardown: no stream identity left for this thread.
-            st.dropped.inc();
-            return;
-        }
+    let Some(tid) = index else {
+        // TLS teardown: no stream identity left for this thread.
+        st.dropped.inc();
+        return;
     };
     let seq = st.seq.fetch_add(1, Ordering::Relaxed);
     let ring = st.ring(tid as usize % RING_THREADS);
@@ -268,14 +247,14 @@ pub(crate) fn record<S: PageSource>(inner: &Inner<S>, op: OpKind, class: u16, pt
 /// walk `describe_ptr` uses (never dereferences unowned memory), then
 /// records the op.
 #[inline]
-pub(crate) fn record_free<S: PageSource>(inner: &Inner<S>, ptr: *mut u8) {
+pub(crate) fn record_free<S: PageSource>(inner: &Inner<S>, index: Option<u32>, ptr: *mut u8) {
     let addr = ptr as usize;
     let class = if inner.large_spans.span_containing(addr).is_some() {
         CLASS_LARGE
     } else {
         small_class_of(inner, addr).unwrap_or(CLASS_UNKNOWN)
     };
-    record(inner, OpKind::Free, class, addr);
+    record(inner, index, OpKind::Free, class, addr);
 }
 
 /// Best-effort size-class attribution of a (purported) small-block user
@@ -963,7 +942,7 @@ fn emit_crash_report<S: PageSource>(inner: &Inner<S>, sig: i32, fault: usize, re
 
     b.clear();
     b.push_str("inside allocator entry point: ");
-    b.push_str(if crate::fork::in_allocator() { "yes" } else { "no" });
+    b.push_str(if crate::thread::in_allocator() { "yes" } else { "no" });
     w.line(&b);
 
     b.clear();

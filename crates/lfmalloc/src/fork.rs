@@ -44,8 +44,9 @@
 //! a signal handler that interrupted *non-allocator* code completes
 //! normally. The one unsafe case is a handler allocating while the
 //! interrupted frame is already inside this allocator on the same
-//! thread (the classic `malloc`-in-handler deadlock shape). A
-//! per-thread flag turns that case into a detected failure instead:
+//! thread (the classic `malloc`-in-handler deadlock shape). The
+//! reentrancy flag of the per-thread block (`thread.rs`) turns
+//! that case into a detected failure instead:
 //! the nested call is counted as [`MisuseKind::ReentrantAlloc`] and
 //! fails fast (null from `malloc`, leak from `free`) — it never
 //! self-deadlocks and never corrupts heap state. Paths that *do* take
@@ -59,6 +60,9 @@ use core::cell::{Cell, UnsafeCell};
 use core::sync::atomic::{AtomicU64, Ordering};
 use malloc_api::procfork::{self, HookSet, HookToken};
 use osmem::PageSource;
+
+#[doc(hidden)]
+pub use crate::thread::hold_reentrancy_guard_for_testing;
 
 /// Per-instance fork bookkeeping, embedded in `Inner`.
 #[derive(Debug)]
@@ -155,18 +159,17 @@ pub(crate) unsafe fn hook_child<S: PageSource>(data: usize) {
     if let Some(mut boxed) = unsafe { (*inner.fork.stash.get()).take() } {
         dead_cfg = inner.reaper.clear_dead(&mut boxed, cur);
     }
-    maybe_recover(inner);
+    maybe_recover(inner, cur);
     if let Some(cfg) = dead_cfg {
         respawn(inner, cfg);
     }
 }
 
 /// Fast-path fork check: one relaxed load comparing the instance's
-/// recovered generation against the process generation. Inlined into
-/// every entry point; the mismatch path is a cold call.
+/// recovered generation against the process generation `cur`. Inlined
+/// into every entry point; the mismatch path is a cold call.
 #[inline]
-pub(crate) fn maybe_recover<S: PageSource>(inner: &Inner<S>) {
-    let cur = procfork::generation();
+pub(crate) fn maybe_recover<S: PageSource>(inner: &Inner<S>, cur: u64) {
     if inner.fork.proc_gen.load(Ordering::Relaxed) != cur {
         recover(inner, cur);
     }
@@ -219,64 +222,12 @@ fn respawn<S: PageSource>(inner: &Inner<S>, cfg: ReaperConfig) {
     }
 }
 
-thread_local! {
-    /// True while this thread is inside an allocator entry point. A
-    /// `Cell<bool>` with const init: no lazy-init allocation, no drop
-    /// registration — safe to touch from the malloc path itself.
-    static IN_ALLOC: Cell<bool> = const { Cell::new(false) };
-}
-
-/// RAII release of the reentrancy flag. `armed == false` means the flag
-/// was never set (TLS unavailable during thread teardown) and must not
-/// be cleared — the teardown call simply runs unguarded.
-pub(crate) struct AllocGuard {
-    armed: bool,
-}
-
-impl Drop for AllocGuard {
-    fn drop(&mut self) {
-        if self.armed {
-            let _ = IN_ALLOC.try_with(|flag| flag.set(false));
-        }
-    }
-}
-
-/// Enters an allocator entry point. `None` means the calling thread is
-/// *already* inside one — a signal handler re-entered the allocator —
-/// and the caller must fail fast instead of proceeding.
-#[inline]
-pub(crate) fn enter_alloc() -> Option<AllocGuard> {
-    match IN_ALLOC.try_with(|flag| {
-        if flag.get() {
-            false
-        } else {
-            flag.set(true);
-            true
-        }
-    }) {
-        Ok(true) => Some(AllocGuard { armed: true }),
-        Ok(false) => None,
-        // TLS teardown: cannot track reentrancy, proceed unguarded (the
-        // thread is running destructors, not signal handlers' malloc).
-        Err(_) => Some(AllocGuard { armed: false }),
-    }
-}
-
-/// Whether the calling thread is currently inside an allocator entry
-/// point. Read-only and async-signal-safe (one TLS flag read): the
-/// crash reporter uses it to say whether the fault interrupted the
-/// allocator itself or plain application code.
-#[cfg(feature = "forensics")]
-pub(crate) fn in_allocator() -> bool {
-    IN_ALLOC.try_with(|flag| flag.get()).unwrap_or(false)
-}
-
 /// Counts a rejected reentrant entry. Recorded regardless of hardening
 /// mode (there is no "trusting" answer to reentrancy — the call is
 /// rejected either way); `Hardening::Abort` escalates to fail-stop like
 /// every other misuse class.
 #[cold]
-pub(crate) fn reject_reentrant<S: PageSource>(inner: &Inner<S>, ptr: usize) {
+pub(crate) fn reject_reentrant<S: PageSource>(inner: &Inner<S>, ptr: usize, tid: usize) {
     crate::harden::report(
         inner,
         MisuseReport {
@@ -284,16 +235,7 @@ pub(crate) fn reject_reentrant<S: PageSource>(inner: &Inner<S>, ptr: usize) {
             ptr,
             size_class: None,
             heap: 0,
-            tid: crate::heap::thread_id(),
+            tid,
         },
     );
-}
-
-/// Test-only: simulates being inside an allocator entry point on the
-/// calling thread, so tests can exercise the reentrancy rejection path
-/// deterministically (without arranging a real signal to land inside
-/// the fast path). Panics if the thread is already inside one.
-#[doc(hidden)]
-pub fn hold_reentrancy_guard_for_testing() -> impl Drop {
-    enter_alloc().expect("thread already inside an allocator entry point")
 }

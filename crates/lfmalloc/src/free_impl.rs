@@ -16,7 +16,7 @@ use core::sync::atomic::{AtomicU64, Ordering};
 use osmem::PageSource;
 
 /// Frees a small block. `ptr` is the user pointer; `desc_ptr` was read
-/// from its prefix.
+/// from its prefix; `tid` comes from the entry step.
 ///
 /// # Safety
 ///
@@ -26,6 +26,7 @@ pub(crate) unsafe fn free_small<S: PageSource>(
     inner: &Inner<S>,
     ptr: *mut u8,
     desc_ptr: *mut Descriptor,
+    tid: Option<usize>,
 ) {
     let desc = unsafe { &*desc_ptr };
     let sb = desc.sb() as usize; // line 6
@@ -36,7 +37,7 @@ pub(crate) unsafe fn free_small<S: PageSource>(
     let prefix_addr = ptr as usize - PREFIX_SIZE;
     let idx = (prefix_addr - sb) / sz; // line 9
     let block = sb + idx * sz;
-    unsafe { push_free_block(inner, desc_ptr, block) }
+    unsafe { push_free_block(inner, desc_ptr, block, tid) }
 }
 
 /// Pushes `block` (a block *start* address) onto its superblock's free
@@ -48,10 +49,12 @@ pub(crate) unsafe fn free_small<S: PageSource>(
 ///
 /// `block` must be an allocated block of `desc_ptr`'s superblock that no
 /// other thread can free concurrently.
+#[cfg_attr(not(feature = "stats"), allow(unused_variables))]
 pub(crate) unsafe fn push_free_block<S: PageSource>(
     inner: &Inner<S>,
     desc_ptr: *mut Descriptor,
     block: usize,
+    tid: Option<usize>,
 ) {
     let desc = unsafe { &*desc_ptr };
     let sb = desc.sb() as usize;
@@ -70,16 +73,16 @@ pub(crate) unsafe fn push_free_block<S: PageSource>(
     // Telemetry reads the owning heap under the same pinning argument.
     #[cfg(feature = "stats")]
     {
-        if crate::heap::try_thread_id().is_none() {
+        if tid.is_none() {
             // TLS teardown: the freeing thread no longer has an
             // identity, so "local vs remote" is undecidable — it is
             // deliberately attributed as a *remote* free (the paper's
             // slow-path accounting) rather than defaulting to heap 0's
             // local path, and counted separately so teardown traffic is
-            // visible. See `heap::try_thread_id`.
+            // visible. See `thread::Entered::tid`.
             inner.shard(owner).free_teardown.inc();
             inner.shard(owner).free_remote.inc();
-        } else if crate::stats::is_local_heap(inner, owner) {
+        } else if core::ptr::eq(inner.heap_for(owner.class(), tid), owner) {
             inner.shard(owner).free_local.inc();
         } else {
             inner.shard(owner).free_remote.inc();

@@ -244,13 +244,13 @@ pub(crate) fn report<S: PageSource>(inner: &Inner<S>, r: MisuseReport) {
 }
 
 #[inline]
-fn misuse(kind: MisuseKind, ptr: *mut u8) -> MisuseReport {
+fn misuse(kind: MisuseKind, ptr: *mut u8, tid: Option<usize>) -> MisuseReport {
     MisuseReport {
         kind,
         ptr: ptr as usize,
         size_class: None,
         heap: 0,
-        tid: crate::heap::thread_id(),
+        tid: tid.unwrap_or(0),
     }
 }
 
@@ -262,12 +262,16 @@ fn misuse(kind: MisuseKind, ptr: *mut u8) -> MisuseReport {
 ///
 /// `ptr` is non-null but otherwise completely untrusted — that is the
 /// point. The instance must be alive.
-pub(crate) unsafe fn free_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8) {
+pub(crate) unsafe fn free_hardened<S: PageSource>(
+    inner: &Inner<S>,
+    ptr: *mut u8,
+    tid: Option<usize>,
+) {
     let addr = ptr as usize;
 
     // -- Large blocks: the span registry is the source of truth. -------
     if let Some((base, _)) = inner.large_spans.span_containing(addr) {
-        unsafe { free_large_hardened(inner, ptr, base) };
+        unsafe { free_large_hardened(inner, ptr, base, tid) };
         return;
     }
 
@@ -275,14 +279,14 @@ pub(crate) unsafe fn free_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8
     // Every pointer this instance hands out is >= 8-aligned with its
     // prefix word 8 bytes below; reject before any memory access.
     if addr < PREFIX_SIZE || addr % PREFIX_SIZE != 0 {
-        report(inner, misuse(MisuseKind::InvalidFree, ptr));
+        report(inner, misuse(MisuseKind::InvalidFree, ptr, tid));
         return;
     }
     let prefix_addr = addr - PREFIX_SIZE;
     // Provenance gate 1: the prefix word must lie inside a superblock
     // hyperblock this instance mapped. Only now is it safe to read.
     if !inner.sb_pool.owns(prefix_addr) {
-        report(inner, misuse(MisuseKind::InvalidFree, ptr));
+        report(inner, misuse(MisuseKind::InvalidFree, ptr, tid));
         return;
     }
     let prefix =
@@ -291,13 +295,13 @@ pub(crate) unsafe fn free_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8
         // An odd prefix inside a superblock: either a stale large-block
         // marker (the span was already freed) or plain user data. The
         // span registry above said this is not a live large block.
-        report(inner, misuse(MisuseKind::InvalidFree, ptr));
+        report(inner, misuse(MisuseKind::InvalidFree, ptr, tid));
         return;
     }
     // Provenance gate 2: the prefix must name a real descriptor slot.
     let desc_ptr = prefix as *mut Descriptor;
     if !inner.desc_pool.owns(desc_ptr) {
-        report(inner, misuse(MisuseKind::InvalidFree, ptr));
+        report(inner, misuse(MisuseKind::InvalidFree, ptr, tid));
         return;
     }
     // The descriptor slot is ours, so dereferencing is safe; its
@@ -316,12 +320,12 @@ pub(crate) unsafe fn free_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8
         && prefix_addr >= sb
         && prefix_addr < sb + SB_SIZE;
     if !geometry_ok {
-        report(inner, misuse(MisuseKind::InvalidFree, ptr));
+        report(inner, misuse(MisuseKind::InvalidFree, ptr, tid));
         return;
     }
     let idx = (prefix_addr - sb) / sz;
     if idx >= maxcount {
-        report(inner, misuse(MisuseKind::InvalidFree, ptr));
+        report(inner, misuse(MisuseKind::InvalidFree, ptr, tid));
         return;
     }
     // -- Double-free arbiter: one fetch_and, one winner. ---------------
@@ -333,7 +337,7 @@ pub(crate) unsafe fn free_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8
                 ptr: addr,
                 size_class: Some(sz),
                 heap: desc.heap() as usize,
-                tid: crate::heap::thread_id(),
+                tid: tid.unwrap_or(0),
             },
         );
         return;
@@ -346,9 +350,7 @@ pub(crate) unsafe fn free_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8
     unsafe {
         core::ptr::write_bytes((block + PREFIX_SIZE) as *mut u8, POISON, sz - PREFIX_SIZE)
     };
-    let shard = unsafe {
-        &*inner.quarantine.add(crate::heap::thread_id() % inner.nheaps)
-    };
+    let shard = unsafe { &*inner.quarantine.add(tid.unwrap_or(0) % inner.nheaps) };
     let mut entry = (block, desc_ptr as usize);
     // Push, displacing the oldest entry when the ring is full; the
     // displaced block is verified and released for reuse. Bounded
@@ -361,23 +363,24 @@ pub(crate) unsafe fn free_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8
                 entry = back;
                 if let Some((old_block, old_desc)) = shard.pop() {
                     unsafe {
-                        release_quarantined(inner, old_block, old_desc as *mut Descriptor)
+                        release_quarantined(inner, old_block, old_desc as *mut Descriptor, tid)
                     };
                 }
             }
         }
     }
-    unsafe { release_quarantined(inner, entry.0, entry.1 as *mut Descriptor) };
+    unsafe { release_quarantined(inner, entry.0, entry.1 as *mut Descriptor, tid) };
 }
 
 /// Verifies a quarantined block's poison and hands it to the normal
 /// free path. A rewritten byte is a use-after-free write through a
 /// stale pointer; the block is still released (in `Detect` mode) so the
-/// heap keeps functioning.
+/// heap keeps functioning. `tid` is the releasing thread's id.
 pub(crate) unsafe fn release_quarantined<S: PageSource>(
     inner: &Inner<S>,
     block: usize,
     desc_ptr: *mut Descriptor,
+    tid: Option<usize>,
 ) {
     let desc = unsafe { &*desc_ptr };
     let sz = desc.sz() as usize;
@@ -391,23 +394,28 @@ pub(crate) unsafe fn release_quarantined<S: PageSource>(
                 ptr: block,
                 size_class: Some(sz),
                 heap: desc.heap() as usize,
-                tid: crate::heap::thread_id(),
+                tid: tid.unwrap_or(0),
             },
         );
     }
-    unsafe { crate::free_impl::push_free_block(inner, desc_ptr, block) };
+    unsafe { crate::free_impl::push_free_block(inner, desc_ptr, block, tid) };
 }
 
 /// Hardened free of a large block whose span registry entry named
 /// `base`. The registry `remove` CAS is the double-free arbiter: the
 /// winner owns the span (and may dereference it), every loser reports
 /// without touching memory.
-unsafe fn free_large_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8, base: usize) {
+unsafe fn free_large_hardened<S: PageSource>(
+    inner: &Inner<S>,
+    ptr: *mut u8,
+    base: usize,
+    tid: Option<usize>,
+) {
     let addr = ptr as usize;
     if !inner.large_spans.remove(base) {
         // A concurrent free claimed the span between our lookup and
         // now: a racing double free.
-        report(inner, misuse(MisuseKind::DoubleFree, ptr));
+        report(inner, misuse(MisuseKind::DoubleFree, ptr, tid));
         return;
     }
     // Sole owner of the span from here on.
@@ -426,7 +434,7 @@ unsafe fn free_large_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8, bas
         // Interior (or otherwise mangled) pointer into a live large
         // block: put the span back and reject the free.
         inner.large_spans.insert(base, total);
-        report(inner, misuse(MisuseKind::InvalidFree, ptr));
+        report(inner, misuse(MisuseKind::InvalidFree, ptr, tid));
         return;
     }
     if guarded {
@@ -434,7 +442,7 @@ unsafe fn free_large_hardened<S: PageSource>(inner: &Inner<S>, ptr: *mut u8, bas
         let intact =
             (0..PAGE_SIZE).all(|i| unsafe { *((canary + i) as *const u8) } == GUARD_CANARY);
         if !intact {
-            report(inner, misuse(MisuseKind::GuardOverrun, ptr));
+            report(inner, misuse(MisuseKind::GuardOverrun, ptr, tid));
             // Detect mode: still release the block below.
         }
         if hw {

@@ -18,6 +18,7 @@
 use crate::active::Active;
 use crate::config::HeapMode;
 use crate::descriptor::Descriptor;
+pub use crate::thread::try_thread_id;
 use core::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 /// One processor heap. Cache-line aligned and padded so neighbouring
@@ -93,58 +94,15 @@ impl ProcHeap {
     }
 }
 
-static NEXT_THREAD_ID: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// `(process generation, thread id)`. The id is issued lazily and
-    /// re-issued whenever the stored generation lags
-    /// [`malloc_api::procfork::generation`]: the TLS cell survives a
-    /// fork verbatim, but a parent-era id must not leak into the child —
-    /// recycled ids would alias heap slots whose parent owners died
-    /// mid-operation. `u64::MAX` is the "never issued" sentinel (the
-    /// generation counter starts at 0 and only increments).
-    static THREAD_SLOT: core::cell::Cell<(u64, usize)> =
-        const { core::cell::Cell::new((u64::MAX, 0)) };
-}
-
 /// A small, dense per-thread id ("Threads use their thread ids to decide
 /// which processor heap to use"). Falls back to 0 when thread-local
 /// storage is unavailable (calls during thread teardown) — correctness
-/// never depends on the id, only distribution does.
-///
-/// The fallback means allocator calls issued from TLS destructors all
-/// map to heap 0. For *malloc* that is only a distribution artifact; for
-/// *free*-side telemetry it would silently misattribute teardown frees
-/// of heap-0 blocks as local. Callers that care use [`try_thread_id`]
-/// to detect the teardown case and route it deliberately (counted under
-/// the `free_teardown` stat as a remote free).
+/// never depends on the id, only distribution does. The id lives in the
+/// crate's one per-thread block, which re-issues it in a forked child
+/// (DESIGN.md §12.2 I3).
 #[inline]
 pub fn thread_id() -> usize {
     try_thread_id().unwrap_or(0)
-}
-
-/// Like [`thread_id`], but reports thread-local-storage unavailability
-/// (the thread is running TLS destructors) as `None` instead of folding
-/// it into id 0.
-#[inline]
-pub fn try_thread_id() -> Option<usize> {
-    THREAD_SLOT
-        .try_with(|slot| {
-            let cur = malloc_api::procfork::generation();
-            let (gen, id) = slot.get();
-            if gen == cur {
-                id
-            } else {
-                // First use on this thread, or first use since a fork:
-                // issue a fresh id. `NEXT_THREAD_ID` keeps counting from
-                // the parent's value, so a child id can never collide
-                // with an id some parent thread stamped into heap state.
-                let id = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
-                slot.set((cur, id));
-                id
-            }
-        })
-        .ok()
 }
 
 /// Maps the calling thread to a heap index under `mode`.

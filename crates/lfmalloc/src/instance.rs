@@ -14,9 +14,9 @@
 use crate::active::Active;
 use crate::anchor::SbState;
 use crate::config::{Config, PREFIX_SIZE, SB_BATCH, SB_SHIFT};
-use crate::descriptor::{Descriptor, DescriptorPool};
+use crate::descriptor::DescriptorPool;
 use crate::harden::{Hardening, MisuseCounters, QUARANTINE_CAP};
-use crate::heap::{heap_index, ProcHeap};
+use crate::heap::ProcHeap;
 use crate::partial::PartialList;
 use crate::size_classes::{class_index, class_index_aligned, CLASS_SIZES, NUM_CLASSES};
 use core::ptr::NonNull;
@@ -92,13 +92,16 @@ pub(crate) struct Inner<S: PageSource> {
     /// wiring (see [`crate::forensics`]).
     #[cfg(feature = "forensics")]
     pub forensics: crate::forensics::ForensicsState,
+    /// Epoch and thread-index counter of the sampler and flight recorder.
+    #[cfg(any(feature = "profile", feature = "forensics"))]
+    pub threads: crate::thread::InstanceThreads,
 }
 
 impl<S: PageSource> Inner<S> {
-    /// The heap the calling thread uses for size class `ci`.
+    /// The heap thread `tid` uses for size class `ci` (`None` maps like 0).
     #[inline]
-    pub fn heap_for(&self, ci: usize) -> &ProcHeap {
-        let h = heap_index(self.config.heap_mode);
+    pub fn heap_for(&self, ci: usize, tid: Option<usize>) -> &ProcHeap {
+        let h = tid.unwrap_or(0) % self.nheaps;
         unsafe { &*self.heaps.add(ci * self.nheaps + h) }
     }
 
@@ -328,6 +331,8 @@ impl<S: PageSource> LfMalloc<S> {
                 profile,
                 #[cfg(feature = "forensics")]
                 forensics,
+                #[cfg(any(feature = "profile", feature = "forensics"))]
+                threads: crate::thread::InstanceThreads::new(),
             });
             // The FIFO partial lists allocate their dummy nodes now that
             // the domain has a stable address.
@@ -416,21 +421,7 @@ impl<S: PageSource> LfMalloc<S> {
     /// malloc/free — the quarantine rings are MPMC and the release path
     /// is the ordinary lock-free free.
     pub fn flush_quarantine(&self) -> usize {
-        let inner = self.inner();
-        if inner.quarantine.is_null() {
-            return 0;
-        }
-        let mut released = 0;
-        for i in 0..inner.nheaps {
-            let shard = unsafe { &*inner.quarantine.add(i) };
-            while let Some((block, desc)) = shard.pop() {
-                unsafe {
-                    crate::harden::release_quarantined(inner, block, desc as *mut Descriptor)
-                };
-                released += 1;
-            }
-        }
-        released
+        crate::maintain::flush_quarantine_budgeted(self.inner(), u32::MAX) as usize
     }
 
     /// Returns all reclaimable memory to the OS: uninstalls idle active
@@ -559,48 +550,7 @@ impl<S: PageSource> LfMalloc<S> {
     #[cfg_attr(feature = "profile", track_caller)]
     pub unsafe fn allocate(&self, size: usize, align: usize) -> *mut u8 {
         debug_assert!(align.is_power_of_two());
-        #[cfg(feature = "profile")]
-        let site = core::panic::Location::caller();
-        let inner = self.inner();
-        let Some(_reentry) = crate::fork::enter_alloc() else {
-            // Signal handler re-entered the allocator on this thread:
-            // fail fast instead of racing our own interrupted frame.
-            crate::fork::reject_reentrant(inner, 0);
-            return core::ptr::null_mut();
-        };
-        crate::fork::maybe_recover(inner);
-        let off = align.max(PREFIX_SIZE);
-        let Some(total) = size.checked_add(off) else {
-            return core::ptr::null_mut();
-        };
-        let class = if align <= PREFIX_SIZE {
-            class_index(total)
-        } else {
-            class_index_aligned(total, align)
-        };
-        let p = match class {
-            Some(ci) => unsafe { crate::alloc::malloc_small(inner, ci, off) },
-            None => unsafe { crate::large::alloc_large(inner, size, align) },
-        };
-        #[cfg(feature = "profile")]
-        if !p.is_null() {
-            crate::profile::tick(inner, p, size, site);
-        }
-        #[cfg(feature = "forensics")]
-        crate::forensics::record(
-            inner,
-            if p.is_null() {
-                crate::forensics::OpKind::AllocFailed
-            } else {
-                crate::forensics::OpKind::Alloc
-            },
-            match class {
-                Some(ci) => ci as u16,
-                None => crate::forensics::CLASS_LARGE,
-            },
-            p as usize,
-        );
-        p
+        unsafe { self.allocate_impl(size, align, false) }
     }
 
     /// Allocates `size` zeroed bytes.
@@ -619,42 +569,47 @@ impl<S: PageSource> LfMalloc<S> {
     /// Standard malloc contract; see [`RawMalloc::malloc_zeroed`].
     #[cfg_attr(feature = "profile", track_caller)]
     pub unsafe fn allocate_zeroed(&self, size: usize) -> *mut u8 {
+        unsafe { self.allocate_impl(size, PREFIX_SIZE, true) }
+    }
+
+    /// The body of [`allocate`](Self::allocate) and
+    /// [`allocate_zeroed`](Self::allocate_zeroed).
+    #[cfg_attr(feature = "profile", track_caller)]
+    #[inline(always)]
+    unsafe fn allocate_impl(&self, size: usize, align: usize, zeroed: bool) -> *mut u8 {
         #[cfg(feature = "profile")]
         let site = core::panic::Location::caller();
         let inner = self.inner();
-        let Some(_reentry) = crate::fork::enter_alloc() else {
-            crate::fork::reject_reentrant(inner, 0);
+        let Some(entered) = crate::thread::enter(inner, 0) else {
+            // Signal handler re-entered the allocator on this thread:
+            // fail fast instead of racing our own interrupted frame.
             return core::ptr::null_mut();
         };
-        crate::fork::maybe_recover(inner);
-        let off = PREFIX_SIZE;
+        let off = align.max(PREFIX_SIZE);
         let Some(total) = size.checked_add(off) else {
             return core::ptr::null_mut();
         };
-        let class = class_index(total);
-        let p = match class {
-            Some(ci) => {
-                let p = unsafe { crate::alloc::malloc_small(inner, ci, off) };
-                if !p.is_null() {
-                    unsafe { core::ptr::write_bytes(p, 0, size) };
-                }
-                p
-            }
-            None => {
-                let p = unsafe { crate::large::alloc_large(inner, size, PREFIX_SIZE) };
-                if !p.is_null() && !inner.source.zeroes_fresh_pages() {
-                    unsafe { core::ptr::write_bytes(p, 0, size) };
-                }
-                p
-            }
+        let class = if align <= PREFIX_SIZE {
+            class_index(total)
+        } else {
+            class_index_aligned(total, align)
         };
+        let p = match class {
+            Some(ci) => unsafe { crate::alloc::malloc_small(inner, ci, off, entered.tid) },
+            None => unsafe { crate::large::alloc_large(inner, size, align) },
+        };
+        // A fresh large block from a zero-filling source is already zero.
+        if zeroed && !p.is_null() && (class.is_some() || !inner.source.zeroes_fresh_pages()) {
+            unsafe { core::ptr::write_bytes(p, 0, size) };
+        }
         #[cfg(feature = "profile")]
         if !p.is_null() {
-            crate::profile::tick(inner, p, size, site);
+            crate::profile::tick(inner, entered.index, p, size, site);
         }
         #[cfg(feature = "forensics")]
         crate::forensics::record(
             inner,
+            entered.index,
             if p.is_null() {
                 crate::forensics::OpKind::AllocFailed
             } else {
@@ -716,13 +671,11 @@ impl<S: PageSource> LfMalloc<S> {
             return;
         }
         let inner = self.inner();
-        let Some(_reentry) = crate::fork::enter_alloc() else {
+        let Some(entered) = crate::thread::enter(inner, ptr as usize) else {
             // Reentrant free: leaking the block is the only safe answer
             // (touching the anchor could race our interrupted frame).
-            crate::fork::reject_reentrant(inner, ptr as usize);
             return;
         };
-        crate::fork::maybe_recover(inner);
         // Unwind any live sample before the block is dispatched; works
         // on every free path (hardened, large, TLS teardown) because
         // removal needs no thread identity.
@@ -731,11 +684,11 @@ impl<S: PageSource> LfMalloc<S> {
         // Record before dispatch so misuse frees (which the hardened
         // path rejects) still land in the flight recorder.
         #[cfg(feature = "forensics")]
-        crate::forensics::record_free(inner, ptr);
+        crate::forensics::record_free(inner, entered.index, ptr);
         if inner.config.hardening != Hardening::Off {
             // The validated path establishes provenance before touching
             // any memory; misuse is reported, never executed.
-            return unsafe { crate::harden::free_hardened(inner, ptr) };
+            return unsafe { crate::harden::free_hardened(inner, ptr, entered.tid) };
         }
         // Read the prefix: a descriptor pointer (even) or the
         // large-block marker (odd).
@@ -750,6 +703,7 @@ impl<S: PageSource> LfMalloc<S> {
                     inner,
                     ptr,
                     prefix as *mut crate::descriptor::Descriptor,
+                    entered.tid,
                 )
             };
         }
@@ -921,7 +875,7 @@ mod tests {
     fn heap_for_respects_single_mode() {
         let a = LfMalloc::with_config(Config::uniprocessor());
         let ci = class_index(64).unwrap();
-        let h1 = a.inner().heap_for(ci) as *const ProcHeap;
+        let h1 = a.inner().heap_for(ci, crate::heap::try_thread_id()) as *const ProcHeap;
         let h2 = a.inner().heap_at(ci, 0) as *const ProcHeap;
         assert_eq!(h1, h2);
     }

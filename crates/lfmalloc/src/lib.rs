@@ -161,6 +161,7 @@ pub(crate) mod retry;
 pub mod size_classes;
 #[cfg(feature = "stats")]
 pub mod stats;
+pub(crate) mod thread;
 
 pub use audit::{AuditReport, AuditViolation, ByteReconciliation};
 pub use config::{Config, HeapMode, PartialMode};

@@ -459,19 +459,22 @@ pub(crate) fn stop_reaper_inner<S: PageSource>(inner: &Inner<S>) -> bool {
     stopped
 }
 
-/// Budgeted version of `flush_quarantine`: pops at most `max` entries
-/// across the shards. Same concurrency story as the unbudgeted flush —
-/// the rings are MPMC and the release path is an ordinary lock-free
-/// free.
-fn flush_quarantine_budgeted<S: PageSource>(inner: &Inner<S>, max: u32) -> u64 {
+/// Pops at most `max` entries across the quarantine shards
+/// (`flush_quarantine` passes `u32::MAX`). Safe concurrently with
+/// malloc/free: the rings are MPMC and the release path is an ordinary
+/// lock-free free.
+pub(crate) fn flush_quarantine_budgeted<S: PageSource>(inner: &Inner<S>, max: u32) -> u64 {
     if inner.quarantine.is_null() {
         return 0;
     }
+    let tid = crate::heap::try_thread_id();
     let mut released = 0u64;
     'shards: for i in 0..inner.nheaps {
         let shard = unsafe { &*inner.quarantine.add(i) };
         while let Some((block, desc)) = shard.pop() {
-            unsafe { crate::harden::release_quarantined(inner, block, desc as *mut Descriptor) };
+            unsafe {
+                crate::harden::release_quarantined(inner, block, desc as *mut Descriptor, tid)
+            };
             released += 1;
             if released >= max as u64 {
                 break 'shards;

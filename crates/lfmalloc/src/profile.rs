@@ -45,7 +45,7 @@ use crate::instance::Inner;
 use crate::size_classes::NUM_CLASSES;
 use core::cell::UnsafeCell;
 use core::panic::Location;
-use core::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicUsize, Ordering};
 use malloc_api::telemetry::{monotonic_nanos, Counter};
 use osmem::PageSource;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -92,12 +92,7 @@ struct SampleSlot {
 /// feature.
 #[derive(Debug)]
 pub(crate) struct ProfileState {
-    /// Distinguishes this instance's sampler stream in the thread-local
-    /// slot (see [`SAMPLER`]); process-unique and never zero.
-    epoch: u64,
     params: ProfileParams,
-    /// Dense per-instance thread indices, issued in first-touch order.
-    next_thread: AtomicU32,
     /// `SAMPLE_TABLE_CAP` slots, system-allocated (zeroed = all empty).
     slots: *mut SampleSlot,
     /// Samples taken (lifetime).
@@ -111,22 +106,6 @@ pub(crate) struct ProfileState {
 unsafe impl Send for ProfileState {}
 // Slot metadata is only touched under the transient `ptr|1` slot lock.
 unsafe impl Sync for ProfileState {}
-
-static PROFILE_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// `(instance epoch, rng state, countdown)`. One slot serves every
-    /// instance: when a thread's allocations interleave across
-    /// instances the slot re-arms deterministically on each switch
-    /// (epoch mismatch), preserving per-instance determinism for the
-    /// dominant single-instance case.
-    static SAMPLER: core::cell::Cell<(u64, u64, i64)> =
-        const { core::cell::Cell::new((0, 0, 0)) };
-    /// Per-instance thread index last issued to this thread, keyed by
-    /// the same epoch.
-    static SAMPLER_THREAD: core::cell::Cell<(u64, u32)> =
-        const { core::cell::Cell::new((0, 0)) };
-}
 
 /// splitmix64 step — the sampler's only RNG, run once per *sample*.
 #[inline]
@@ -159,9 +138,7 @@ impl ProfileState {
             return None;
         }
         Some(ProfileState {
-            epoch: PROFILE_EPOCH.fetch_add(1, Ordering::Relaxed) + 1,
             params,
-            next_thread: AtomicU32::new(0),
             slots,
             samples: Counter::new(),
             dropped: Counter::new(),
@@ -267,31 +244,35 @@ impl Drop for ProfileState {
     }
 }
 
+/// A fresh `(rng, countdown)` for thread `index`, seeded from the seed
+/// and the index so each instance observes a deterministic phase.
+pub(crate) fn arm(p: &ProfileState, index: u32) -> (u64, i64) {
+    let mut rng = p.params.seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let gap = next_gap(&mut rng, p.params.stride_bytes);
+    (rng, gap)
+}
+
 /// Fast-path sampler hook, called by `allocate`/`allocate_zeroed` for
 /// every successful allocation: decrement the thread's byte countdown
 /// and fall into the cold shim only when it crosses zero. Skips
-/// silently when TLS is gone (teardown-time allocation).
+/// silently when TLS is gone (`index == None`).
 #[inline]
 pub(crate) fn tick<S: PageSource>(
     inner: &Inner<S>,
+    index: Option<u32>,
     ptr: *mut u8,
     requested: usize,
     site: &'static Location<'static>,
 ) {
-    let p = &inner.profile;
-    let crossed = SAMPLER
-        .try_with(|slot| {
-            let (epoch, rng, countdown) = slot.get();
-            if epoch != p.epoch {
-                return true; // re-arm (and decide) in the cold shim
-            }
-            let left = countdown - requested.min(i64::MAX as usize) as i64;
-            slot.set((epoch, rng, left));
-            left <= 0
-        })
-        .unwrap_or(false);
-    if crossed {
-        take_sample(inner, ptr, requested, site);
+    let Some(index) = index else { return };
+    let crossed = crate::thread::with_sampler(|slot| {
+        let (rng, countdown) = slot.get();
+        let left = countdown - requested.min(i64::MAX as usize) as i64;
+        slot.set((rng, left));
+        left <= 0
+    });
+    if crossed == Some(true) {
+        take_sample(inner, index, ptr, requested, site);
     }
 }
 
@@ -302,44 +283,18 @@ pub(crate) fn tick<S: PageSource>(
 #[cold]
 fn take_sample<S: PageSource>(
     inner: &Inner<S>,
+    thread: u32,
     ptr: *mut u8,
     requested: usize,
     site: &'static Location<'static>,
 ) {
     let p = &inner.profile;
     let stride = p.params.stride_bytes;
-    // Re-arm the countdown (switching instances re-seeds the stream so
-    // each instance observes a deterministic phase).
-    let armed = SAMPLER.try_with(|slot| {
-        let (epoch, mut rng, countdown) = slot.get();
-        if epoch != p.epoch {
-            let idx = SAMPLER_THREAD
-                .try_with(|t| {
-                    let (tepoch, tidx) = t.get();
-                    if tepoch == p.epoch {
-                        tidx
-                    } else {
-                        let idx = p.next_thread.fetch_add(1, Ordering::Relaxed);
-                        t.set((p.epoch, idx));
-                        idx
-                    }
-                })
-                .unwrap_or(u32::MAX);
-            rng = p.params.seed ^ (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let first = next_gap(&mut rng, stride) - requested.min(i64::MAX as usize) as i64;
-            slot.set((p.epoch, rng, first));
-            // A fresh stream's first allocation is sampled only if it
-            // alone crosses the phase — mirrors the steady state.
-            return first <= 0;
-        }
-        debug_assert!(countdown <= 0);
+    crate::thread::with_sampler(|slot| {
+        let (mut rng, countdown) = slot.get();
         let gap = next_gap(&mut rng, stride);
-        slot.set((epoch, rng, countdown + gap));
-        true
+        slot.set((rng, countdown + gap));
     });
-    if armed != Ok(true) {
-        return;
-    }
     // Derive class and block geometry from the block itself (prefix
     // word: descriptor pointer when even, large marker when odd) — the
     // shim needs no plumbing through the malloc ladder.
@@ -354,7 +309,6 @@ fn take_sample<S: PageSource>(
         let heap = unsafe { &*desc.heap() };
         (heap.class() as u16, desc.sz() as usize)
     };
-    let thread = SAMPLER_THREAD.try_with(|t| t.get().1).unwrap_or(u32::MAX);
     p.insert(
         ptr as usize,
         SampleMeta {

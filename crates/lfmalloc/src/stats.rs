@@ -64,7 +64,7 @@ pub(crate) struct ClassShard {
     /// Frees by a thread mapped to a different heap (remote frees).
     pub free_remote: Counter,
     /// Frees issued during TLS teardown (thread identity gone); also
-    /// counted under `free_remote` — see `heap::try_thread_id`.
+    /// counted under `free_remote` — see `thread::Entered::tid`.
     pub free_teardown: Counter,
     /// Frees that emptied their superblock (EMPTY transition).
     pub free_empty: Counter,
@@ -1136,14 +1136,6 @@ fn write_histogram(
     }
     writeln!(w)
 }
-
-/// Whether `heap` is the heap the *calling thread* would use for its
-/// class — the local/remote free discriminator.
-#[inline]
-pub(crate) fn is_local_heap<S: PageSource>(inner: &Inner<S>, heap: &ProcHeap) -> bool {
-    core::ptr::eq(inner.heap_for(heap.class()), heap)
-}
-
 
 #[cfg(test)]
 mod tests {

@@ -86,6 +86,7 @@ pub use imp::*;
 mod imp {
     use super::FpSignal;
     use std::collections::HashMap;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
     /// The fault injected when a site fires.
@@ -138,6 +139,12 @@ mod imp {
         REGISTRY.get_or_init(|| Mutex::new(Registry::default()))
     }
 
+    /// Whether any site is armed; written under the registry lock. Lets
+    /// [`hit`] skip the lock when nothing is armed: a `fork` taken while
+    /// another thread held the lock would leave the child's first
+    /// failpoint blocked forever.
+    static ANY_ARMED: AtomicBool = AtomicBool::new(false);
+
     fn lock_registry() -> MutexGuard<'static, Registry> {
         registry().lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -175,17 +182,21 @@ mod imp {
         let rng = site_seed(reg.seed, name);
         let budget = if max_fires == u64::MAX { None } else { Some(max_fires) };
         reg.sites.insert(name, Site { action, trigger, budget, hits: 0, rng });
+        ANY_ARMED.store(true, Ordering::Release);
     }
 
     /// Disarms one site (its cumulative fire count is preserved).
     pub fn disarm(name: &str) {
-        lock_registry().sites.remove(name);
+        let mut reg = lock_registry();
+        reg.sites.remove(name);
+        ANY_ARMED.store(!reg.sites.is_empty(), Ordering::Release);
     }
 
     /// Disarms every site and zeroes all counters and the seed.
     pub fn clear() {
         let mut reg = lock_registry();
         reg.sites.clear();
+        ANY_ARMED.store(false, Ordering::Release);
         reg.fired.clear();
         reg.seed = 0;
     }
@@ -221,6 +232,9 @@ mod imp {
 
     /// The live decision point behind [`fail_point!`].
     pub fn hit(name: &'static str) -> FpSignal {
+        if !ANY_ARMED.load(Ordering::Acquire) {
+            return FpSignal::NONE;
+        }
         let action = {
             let mut reg = lock_registry();
             let Some(site) = reg.sites.get_mut(name) else {

@@ -36,6 +36,7 @@ const AUDIT_VIOLATION: i32 = 11;
 const HEALTH_MISMATCH: i32 = 12;
 const ORACLE_VIOLATION: i32 = 13;
 const REAPER_STUCK: i32 = 14;
+const STALE_THREAD_ID: i32 = 15;
 
 /// Serializes fork scenarios: the test harness is multithreaded, and
 /// concurrent `waitpid` loops could reap each other's children.
@@ -101,9 +102,11 @@ fn hammer<A: RawMalloc + Send + Sync>(a: &A, stop: &AtomicBool, seed: u64) {
 
 /// Child-side proof for lfmalloc: the heap must work immediately, the
 /// audit must be clean (every parent thread's hazard record adopted,
-/// retired queues drained), and the health snapshot must show exactly
-/// one recovery at the child's generation.
-fn lfmalloc_child_check(a: &LfMalloc) -> ! {
+/// retired queues drained), the health snapshot must show exactly one
+/// recovery at the child's generation, and the forking thread must have
+/// been issued a new thread id (DESIGN.md §12.2 I3): `parent_tid` is its
+/// id from before the fork.
+fn lfmalloc_child_check(a: &LfMalloc, parent_tid: usize) -> ! {
     unsafe {
         let mut ptrs = Vec::new();
         for i in 0..2_000usize {
@@ -125,6 +128,9 @@ fn lfmalloc_child_check(a: &LfMalloc) -> ! {
     if h.fork_recoveries != 1 || h.fork_generation != procfork::generation() {
         unsafe { sys::_exit(HEALTH_MISMATCH) };
     }
+    if lfmalloc::heap::thread_id() == parent_tid {
+        unsafe { sys::_exit(STALE_THREAD_ID) };
+    }
     unsafe { sys::_exit(OK) };
 }
 
@@ -144,10 +150,11 @@ fn lfmalloc_child_recovers_after_fork_under_load() {
             }
             // Let the hammers reach steady state, then fork mid-churn.
             std::thread::sleep(std::time::Duration::from_millis(30));
+            let parent_tid = lfmalloc::heap::thread_id();
             let pid = unsafe { procfork::fork() };
             assert!(pid >= 0, "fork failed");
             if pid == 0 {
-                lfmalloc_child_check(&a); // never returns
+                lfmalloc_child_check(&a, parent_tid); // never returns
             }
             let code = wait_child(pid, "lfmalloc fork under load");
             stop.store(true, Ordering::Relaxed);

@@ -181,24 +181,49 @@ fn signal_handler_allocation_is_deadlock_free() {
 
 /// Deterministic version of the reentrancy contract: with the guard
 /// artificially held (as if a signal had landed mid-malloc), the fast
-/// path fails fast with a counted rejection instead of recursing.
+/// path fails fast with a counted rejection instead of recursing — a
+/// malloc returns null, a free leaks its block — and the thread keeps
+/// its id.
 #[test]
 fn reentrant_allocation_fails_fast_and_is_counted() {
     let inst = GLOBAL.instance();
-    let before = inst.misuse_counters().count(MisuseKind::ReentrantAlloc);
-    {
-        let _in_alloc = lfmalloc::fork::hold_reentrancy_guard_for_testing();
-        // No Vec/String here: the global allocator would abort on the
-        // deliberate null. Raw calls observe the rejection directly.
+    let tid = lfmalloc::heap::thread_id();
+    for side in ["malloc", "free"] {
+        let before = inst.misuse_counters().count(MisuseKind::ReentrantAlloc);
+        // A real free would show on this block: the free-list link
+        // overwrites its prefix word, hardened mode poisons its bytes.
+        let block = unsafe { inst.malloc(64) };
+        assert!(!block.is_null());
+        let prefix = unsafe {
+            block.write_bytes(0xA7, 64);
+            (block as *const usize).sub(1).read()
+        };
+        {
+            let _in_alloc = lfmalloc::fork::hold_reentrancy_guard_for_testing();
+            // No Vec/String here: the global allocator would abort on the
+            // deliberate null. Raw calls observe the rejection directly.
+            if side == "malloc" {
+                let p = unsafe { inst.malloc(64) };
+                assert!(p.is_null(), "reentrant malloc must be rejected");
+            } else {
+                unsafe { inst.free(block) };
+            }
+        }
+        let after = inst.misuse_counters().count(MisuseKind::ReentrantAlloc);
+        assert!(after > before, "reentrant {side} was not counted");
+        unsafe {
+            assert_eq!((block as *const usize).sub(1).read(), prefix, "{side}: block was freed");
+            assert!((0..64).all(|i| *block.add(i) == 0xA7), "{side}: block was freed");
+        }
+        assert_eq!(lfmalloc::heap::thread_id(), tid, "{side}: thread id changed");
+        // Guard released: this thread allocates and frees normally again.
         let p = unsafe { inst.malloc(64) };
-        assert!(p.is_null(), "reentrant malloc must be rejected");
+        assert!(!p.is_null());
+        unsafe {
+            inst.free(p);
+            inst.free(block);
+        }
     }
-    let after = inst.misuse_counters().count(MisuseKind::ReentrantAlloc);
-    assert!(after > before, "rejection was not counted");
-    // Guard released: this thread allocates normally again.
-    let p = unsafe { inst.malloc(64) };
-    assert!(!p.is_null());
-    unsafe { inst.free(p) };
 }
 
 #[test]

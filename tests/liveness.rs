@@ -12,6 +12,13 @@ use lfmalloc_repro::prelude::*;
 use malloc_api::testkit::{self, TestRng};
 use std::sync::Arc;
 
+/// Holds the failpoint scenario lock, so the watchdog scenarios' armed
+/// sites and fire budgets never leak into a soak test's threads.
+#[cfg(feature = "failpoints")]
+fn no_faults() -> malloc_api::failpoints::ScenarioGuard {
+    malloc_api::failpoints::scenario(0)
+}
+
 /// Spawns `total` short-lived allocating threads, at most `width`
 /// concurrently, each doing a seeded malloc/fill/free burst.
 fn churn_threads<S: osmem::PageSource + Send + Sync + 'static>(
@@ -61,6 +68,8 @@ fn churn_threads<S: osmem::PageSource + Send + Sync + 'static>(
 /// audit clean.
 #[test]
 fn thread_churn_soak_stays_healthy() {
+    #[cfg(feature = "failpoints")]
+    let _no_faults = no_faults();
     const THREADS: usize = 5_000;
     const WIDTH: usize = 8;
     testkit::for_each_seed("thread churn soak", &[0x11FE_0001, 0x11FE_0002], |seed| {
@@ -99,6 +108,8 @@ fn thread_churn_soak_stays_healthy() {
 /// reclaimed.
 #[test]
 fn reaper_keeps_up_with_thread_churn() {
+    #[cfg(feature = "failpoints")]
+    let _no_faults = no_faults();
     let cfg = Config::with_heaps(2)
         .with_reaper(ReaperConfig::every(std::time::Duration::from_millis(2)));
     let a = Arc::new(LfMalloc::with_config(cfg));
@@ -129,6 +140,8 @@ fn reaper_keeps_up_with_thread_churn() {
 /// books still balance.
 #[test]
 fn frees_during_tls_teardown_are_routed() {
+    #[cfg(feature = "failpoints")]
+    let _no_faults = no_faults();
     struct TeardownFree {
         a: Arc<LfMalloc<osmem::SystemSource>>,
         ptrs: Vec<*mut u8>,
