@@ -557,8 +557,10 @@ impl<S: PageSource> LfMalloc<S> {
     ///
     /// Small blocks come from recycled superblocks and are always
     /// explicitly zeroed. Large blocks go straight to the page source
-    /// and are never pooled (see [`crate::large`]), so when the source
-    /// guarantees zero-filled fresh pages
+    /// and are never pooled (see [`crate::large`]); this is the one
+    /// large path that asks for [`PageSource::alloc_pages`] rather than
+    /// an uninitialised run, so when the source guarantees zero-filled
+    /// fresh pages
     /// ([`PageSource::zeroes_fresh_pages`]) the memset is skipped — the
     /// user area of a fresh large block is provably untouched (the
     /// prefix word sits below the user pointer and hardened canaries sit
@@ -596,9 +598,10 @@ impl<S: PageSource> LfMalloc<S> {
         };
         let p = match class {
             Some(ci) => unsafe { crate::alloc::malloc_small(inner, ci, off, entered.tid) },
-            None => unsafe { crate::large::alloc_large(inner, size, align) },
+            None => unsafe { crate::large::alloc_large(inner, size, align, zeroed) },
         };
-        // A fresh large block from a zero-filling source is already zero.
+        // A fresh large block from a zero-filling source is already zero
+        // (`alloc_large` asked for `alloc_pages`, not the uninit run).
         if zeroed && !p.is_null() && (class.is_some() || !inner.source.zeroes_fresh_pages()) {
             unsafe { core::ptr::write_bytes(p, 0, size) };
         }

@@ -52,11 +52,14 @@ pub(crate) fn header_fields(header: usize) -> (usize, bool, bool) {
     )
 }
 
-/// Allocates a large block of `size` bytes at `align`.
+/// Allocates a large block of `size` bytes at `align`. Only a `zeroed`
+/// (`calloc`) block asks the source for zero-filled pages; any other
+/// gets an uninitialised run, whose user bytes are unspecified.
 pub(crate) unsafe fn alloc_large<S: PageSource>(
     inner: &Inner<S>,
     size: usize,
     align: usize,
+    zeroed: bool,
 ) -> *mut u8 {
     let t0 = crate::lat_start!();
     // User data starts at least 16 bytes in: 8 for the header word at
@@ -83,7 +86,13 @@ pub(crate) unsafe fn alloc_large<S: PageSource>(
     // Bounded backoff: ride out a transient source outage rather than
     // reporting spurious OOM (same policy as the superblock carve).
     let base = crate::retry::with_backoff(inner.config.oom_retries, || {
-        let p = unsafe { inner.source.alloc_pages(total, os_align) };
+        let p = unsafe {
+            if zeroed {
+                inner.source.alloc_pages(total, os_align)
+            } else {
+                inner.source.alloc_pages_uninit(total, os_align)
+            }
+        };
         if p.is_null() {
             crate::stat_global!(inner, oom_backoffs);
         }

@@ -11,6 +11,12 @@ pub const PAGE_SIZE: usize = 4096;
 /// A supplier of page-aligned memory runs — the `mmap`/`munmap` of this
 /// reproduction.
 ///
+/// Runs come in two kinds: [`alloc_pages`](Self::alloc_pages) runs,
+/// zero-filled when [`zeroes_fresh_pages`](Self::zeroes_fresh_pages)
+/// says so, and [`alloc_pages_uninit`](Self::alloc_pages_uninit) runs,
+/// whose contents are unspecified. Both are returned through
+/// [`dealloc_pages`](Self::dealloc_pages).
+///
 /// # Safety
 ///
 /// Implementations must return either null or a run of at least `size`
@@ -26,11 +32,26 @@ pub unsafe trait PageSource: Sync {
     /// Caller must pass the same `size` and `align` to `dealloc_pages`.
     unsafe fn alloc_pages(&self, size: usize, align: usize) -> *mut u8;
 
-    /// Returns a run previously obtained from `alloc_pages`.
+    /// Like [`alloc_pages`](Self::alloc_pages), but the run's contents
+    /// are unspecified, so a source may skip zero-filling it. The
+    /// default calls `alloc_pages`; a source that can do better
+    /// overrides it, and a decorator forwards it to its inner source's
+    /// `alloc_pages_uninit`.
     ///
     /// # Safety
     ///
-    /// `ptr`/`size`/`align` must match a live prior `alloc_pages`.
+    /// As for `alloc_pages`; the run is freed by `dealloc_pages`.
+    unsafe fn alloc_pages_uninit(&self, size: usize, align: usize) -> *mut u8 {
+        unsafe { self.alloc_pages(size, align) }
+    }
+
+    /// Returns a run previously obtained from `alloc_pages` or
+    /// `alloc_pages_uninit`.
+    ///
+    /// # Safety
+    ///
+    /// `ptr`/`size`/`align` must match a live prior `alloc_pages` or
+    /// `alloc_pages_uninit`.
     unsafe fn dealloc_pages(&self, ptr: *mut u8, size: usize, align: usize);
 
     /// Accounting snapshot (zero for non-counting sources).
@@ -47,7 +68,7 @@ pub unsafe trait PageSource: Sync {
     ///
     /// # Safety
     ///
-    /// The range must lie within a live `alloc_pages` run, and the caller
+    /// The range must lie within a live run from this source, and the caller
     /// must restore read/write before the run is deallocated.
     unsafe fn protect_pages(&self, ptr: *mut u8, len: usize, readwrite: bool) -> bool {
         let _ = (ptr, len, readwrite);
@@ -57,8 +78,10 @@ pub unsafe trait PageSource: Sync {
     /// Whether runs returned by [`alloc_pages`](Self::alloc_pages) are
     /// guaranteed zero-filled (anonymous-mmap semantics). `calloc` fast
     /// paths may skip their memset only when this returns `true` *and*
-    /// the memory provably never passed through a recycling pool. The
-    /// conservative default is `false`.
+    /// the memory provably never passed through a recycling pool. Runs
+    /// from [`alloc_pages_uninit`](Self::alloc_pages_uninit) are never
+    /// eligible, whatever this returns. The conservative default is
+    /// `false`.
     fn zeroes_fresh_pages(&self) -> bool {
         false
     }
@@ -99,16 +122,31 @@ impl SystemSource {
     }
 }
 
+/// The layout of a run, or `None` when `size`/`align` cannot form one.
+fn run_layout(size: usize, align: usize) -> Option<Layout> {
+    debug_assert!(size > 0 && is_aligned(size, PAGE_SIZE));
+    debug_assert!(align.is_power_of_two() && align >= PAGE_SIZE);
+    Layout::from_size_align(size, align).ok()
+}
+
 unsafe impl PageSource for SystemSource {
     unsafe fn alloc_pages(&self, size: usize, align: usize) -> *mut u8 {
-        debug_assert!(size > 0 && is_aligned(size, PAGE_SIZE));
-        debug_assert!(align.is_power_of_two() && align >= PAGE_SIZE);
-        let Ok(layout) = Layout::from_size_align(size, align) else {
+        let Some(layout) = run_layout(size, align) else {
             return core::ptr::null_mut();
         };
         // Anonymous mmap hands out zero-filled pages; reproduce that so
         // code above this layer can rely on the same invariant.
         unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // The zero fill above is this emulation's cost, not `mmap`'s (which
+    // zero-fills lazily, on first touch); a caller that needs no zeroes
+    // skips it here.
+    unsafe fn alloc_pages_uninit(&self, size: usize, align: usize) -> *mut u8 {
+        let Some(layout) = run_layout(size, align) else {
+            return core::ptr::null_mut();
+        };
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc_pages(&self, ptr: *mut u8, size: usize, align: usize) {
@@ -187,6 +225,14 @@ unsafe impl<S: PageSource> PageSource for CountingSource<S> {
         p
     }
 
+    unsafe fn alloc_pages_uninit(&self, size: usize, align: usize) -> *mut u8 {
+        let p = unsafe { self.inner.alloc_pages_uninit(size, align) };
+        if !p.is_null() {
+            self.counter.record_alloc(size);
+        }
+        p
+    }
+
     unsafe fn dealloc_pages(&self, ptr: *mut u8, size: usize, align: usize) {
         unsafe { self.inner.dealloc_pages(ptr, size, align) };
         self.counter.record_free(size);
@@ -209,6 +255,9 @@ unsafe impl<S: PageSource + Send + Sync> PageSource for std::sync::Arc<S> {
     unsafe fn alloc_pages(&self, size: usize, align: usize) -> *mut u8 {
         unsafe { (**self).alloc_pages(size, align) }
     }
+    unsafe fn alloc_pages_uninit(&self, size: usize, align: usize) -> *mut u8 {
+        unsafe { (**self).alloc_pages_uninit(size, align) }
+    }
     unsafe fn dealloc_pages(&self, ptr: *mut u8, size: usize, align: usize) {
         unsafe { (**self).dealloc_pages(ptr, size, align) }
     }
@@ -226,6 +275,9 @@ unsafe impl<S: PageSource + Send + Sync> PageSource for std::sync::Arc<S> {
 unsafe impl<S: PageSource> PageSource for &S {
     unsafe fn alloc_pages(&self, size: usize, align: usize) -> *mut u8 {
         unsafe { (**self).alloc_pages(size, align) }
+    }
+    unsafe fn alloc_pages_uninit(&self, size: usize, align: usize) -> *mut u8 {
+        unsafe { (**self).alloc_pages_uninit(size, align) }
     }
     unsafe fn dealloc_pages(&self, ptr: *mut u8, size: usize, align: usize) {
         unsafe { (**self).dealloc_pages(ptr, size, align) }
@@ -264,7 +316,8 @@ mod tests {
     fn counting_source_tracks_peak() {
         let s = CountingSource::new(SystemSource::new());
         unsafe {
-            let a = s.alloc_pages(PAGE_SIZE, PAGE_SIZE);
+            // Uninitialised runs count exactly like zero-filled ones.
+            let a = s.alloc_pages_uninit(PAGE_SIZE, PAGE_SIZE);
             let b = s.alloc_pages(2 * PAGE_SIZE, PAGE_SIZE);
             s.dealloc_pages(a, PAGE_SIZE, PAGE_SIZE);
             let st = s.stats();
@@ -277,6 +330,47 @@ mod tests {
         assert_eq!(s.stats().live_bytes, 0);
         s.reset_stats();
         assert_eq!(s.stats(), AllocStats::default());
+    }
+
+    /// Counts which allocation method reached it, then serves the run
+    /// from the system source.
+    #[derive(Default)]
+    struct Recording {
+        zeroed: core::sync::atomic::AtomicUsize,
+        uninit: core::sync::atomic::AtomicUsize,
+    }
+
+    unsafe impl PageSource for Recording {
+        unsafe fn alloc_pages(&self, size: usize, align: usize) -> *mut u8 {
+            self.zeroed.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
+            unsafe { SystemSource.alloc_pages(size, align) }
+        }
+        unsafe fn alloc_pages_uninit(&self, size: usize, align: usize) -> *mut u8 {
+            self.uninit.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
+            unsafe { SystemSource.alloc_pages_uninit(size, align) }
+        }
+        unsafe fn dealloc_pages(&self, ptr: *mut u8, size: usize, align: usize) {
+            unsafe { SystemSource.dealloc_pages(ptr, size, align) }
+        }
+    }
+
+    #[test]
+    fn wrappers_forward_uninit_to_the_inner_source() {
+        use core::sync::atomic::Ordering::Relaxed;
+        // `&S` over `FlakySource` over `Arc` over `CountingSource`: a
+        // wrapper that fell back to the trait default would turn the
+        // call into the inner source's zeroing `alloc_pages`.
+        let s = std::sync::Arc::new(CountingSource::new(Recording::default()));
+        let f = FlakySource::reliable(std::sync::Arc::clone(&s));
+        let r = &f;
+        unsafe {
+            let p = r.alloc_pages_uninit(PAGE_SIZE, PAGE_SIZE);
+            assert!(!p.is_null());
+            r.dealloc_pages(p, PAGE_SIZE, PAGE_SIZE);
+        }
+        assert_eq!(s.inner().uninit.load(Relaxed), 1);
+        assert_eq!(s.inner().zeroed.load(Relaxed), 0);
+        assert_eq!(s.stats().os_allocs, 1);
     }
 
     #[test]
@@ -341,7 +435,8 @@ pub struct FlakySource<S> {
     /// Successful allocations left before the budget plan kicks in
     /// (decremented only by calls no other plan already failed).
     remaining: core::sync::atomic::AtomicIsize,
-    /// Total `alloc_pages` calls (drives the every-Nth plan).
+    /// Total `alloc_pages` and `alloc_pages_uninit` calls (drives the
+    /// every-Nth plan).
     calls: core::sync::atomic::AtomicU64,
     /// Period of the every-Nth plan; 0 disables it.
     nth: core::sync::atomic::AtomicU64,
@@ -397,7 +492,8 @@ impl<S> FlakySource<S> {
     }
 
     /// Arms the every-Nth plan: calls number N, 2N, 3N... (counting all
-    /// `alloc_pages` calls since construction) fail. 0 disarms.
+    /// `alloc_pages` and `alloc_pages_uninit` calls since construction)
+    /// fail. 0 disarms.
     pub fn fail_every_nth(&self, n: u64) {
         self.nth.store(n, core::sync::atomic::Ordering::Release);
     }
@@ -421,18 +517,10 @@ impl<S> FlakySource<S> {
     pub fn denials(&self) -> u64 {
         self.denials.load(core::sync::atomic::Ordering::Acquire)
     }
-}
 
-/// splitmix64 output for state `z` (state advance is the caller's
-/// golden-ratio `fetch_add`, so concurrent draws get distinct states).
-fn splitmix64_mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-unsafe impl<S: PageSource> PageSource for FlakySource<S> {
-    unsafe fn alloc_pages(&self, size: usize, align: usize) -> *mut u8 {
+    /// Runs one allocation call through the failure plans; `true` means
+    /// deny it (the denial is counted).
+    fn deny(&self) -> bool {
         use core::sync::atomic::Ordering;
         let call = self.calls.fetch_add(1, Ordering::AcqRel) + 1;
         let mut fail = false;
@@ -464,9 +552,32 @@ unsafe impl<S: PageSource> PageSource for FlakySource<S> {
         }
         if fail {
             self.denials.fetch_add(1, Ordering::AcqRel);
+        }
+        fail
+    }
+}
+
+/// splitmix64 output for state `z` (state advance is the caller's
+/// golden-ratio `fetch_add`, so concurrent draws get distinct states).
+fn splitmix64_mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+unsafe impl<S: PageSource> PageSource for FlakySource<S> {
+    unsafe fn alloc_pages(&self, size: usize, align: usize) -> *mut u8 {
+        if self.deny() {
             return core::ptr::null_mut();
         }
         unsafe { self.inner.alloc_pages(size, align) }
+    }
+
+    unsafe fn alloc_pages_uninit(&self, size: usize, align: usize) -> *mut u8 {
+        if self.deny() {
+            return core::ptr::null_mut();
+        }
+        unsafe { self.inner.alloc_pages_uninit(size, align) }
     }
 
     unsafe fn dealloc_pages(&self, ptr: *mut u8, size: usize, align: usize) {
@@ -510,6 +621,21 @@ mod flaky_tests {
             s.dealloc_pages(a, PAGE_SIZE, PAGE_SIZE);
             s.dealloc_pages(b, PAGE_SIZE, PAGE_SIZE);
             s.dealloc_pages(c, PAGE_SIZE, PAGE_SIZE);
+        }
+    }
+
+    #[test]
+    fn flaky_source_denies_uninit_runs_past_budget() {
+        let s = FlakySource::new(SystemSource::new(), 0);
+        unsafe {
+            assert!(s.alloc_pages_uninit(PAGE_SIZE, PAGE_SIZE).is_null());
+        }
+        assert_eq!(s.denials(), 1);
+        s.refill(1);
+        unsafe {
+            let p = s.alloc_pages_uninit(PAGE_SIZE, PAGE_SIZE);
+            assert!(!p.is_null(), "refill revives the uninit path too");
+            s.dealloc_pages(p, PAGE_SIZE, PAGE_SIZE);
         }
     }
 

@@ -99,12 +99,13 @@ fn concurrent_oracle_churn_with_remote_frees() {
 /// on (the differential property the trace format exists for).
 #[test]
 fn recorded_trace_round_trips_through_text() {
-    let (_, trace) = workloads::record::threadtest_recorded(
-        Arc::new(LfMalloc::new_default()),
-        2,
-        3,
-        150,
-    );
+    let (_, trace) = {
+        // Record with no sites armed; released before the replays,
+        // which take the scenario lock themselves.
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::scenario(0);
+        workloads::record::threadtest_recorded(Arc::new(LfMalloc::new_default()), 2, 3, 150)
+    };
     let text = trace.to_string();
     let parsed = Trace::parse(&text).expect("recorded trace must parse back");
     assert_eq!(trace, parsed);
@@ -186,8 +187,12 @@ fn replay_is_deterministic_across_runs() {
 /// recorded larson run with its remote-free handoff.
 #[test]
 fn recorded_larson_replays_on_every_subject() {
-    let (_, trace) =
-        workloads::record::larson_recorded(Arc::new(LfMalloc::new_default()), 2, 48, 150, 0x1A);
+    let (_, trace) = {
+        // As above: record quiet, replay under the replayer's own lock.
+        #[cfg(feature = "failpoints")]
+        let _quiet = malloc_api::failpoints::scenario(0);
+        workloads::record::larson_recorded(Arc::new(LfMalloc::new_default()), 2, 48, 150, 0x1A)
+    };
     for s in all_subjects() {
         let out = s.replay(&trace);
         assert!(out.is_clean(), "{}: {:?}", s.name(), out.violations);
