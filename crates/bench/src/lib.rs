@@ -42,21 +42,20 @@ pub fn stats_json_record(
     // inside `stats.latency` / `stats.fragmentation`.
     let snap = lf.stats();
     let m = snap.latency.malloc_all();
-    format!(
-        "{{\"bench\":\"{}\",\"workload\":\"{}\",\"threads\":{},\"ops\":{},\"ns_per_op\":{:.1},\
-         \"p50_malloc_ns\":{},\"p99_malloc_ns\":{},\"p999_malloc_ns\":{},\
-         \"external_frag_permille\":{},\"stats\":{}}}",
-        bench,
-        w.label(),
-        threads,
-        r.ops,
-        r.ns_per_op(),
-        m.percentile(0.50),
-        m.percentile(0.99),
-        m.percentile(0.999),
-        snap.fragmentation.external_frag_permille(),
-        snap.to_json()
-    )
+    let mut j = lfmalloc::json::Writer::new(String::new());
+    j.obj()
+        .field("bench", bench)
+        .field("workload", w.label().as_str())
+        .field("threads", threads)
+        .field("ops", r.ops)
+        .field("ns_per_op", (r.ns_per_op() * 10.0).round() / 10.0)
+        .field("p50_malloc_ns", m.percentile(0.50))
+        .field("p99_malloc_ns", m.percentile(0.99))
+        .field("p999_malloc_ns", m.percentile(0.999))
+        .field("external_frag_permille", snap.fragmentation.external_frag_permille())
+        .field("stats", &snap)
+        .end_obj();
+    j.into_inner()
 }
 
 /// Appends newline-terminated `records` to `path` (creating it), or

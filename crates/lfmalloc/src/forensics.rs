@@ -630,24 +630,9 @@ impl SigBuf {
     }
 
     /// Appends `v` in decimal.
-    pub fn push_dec(&mut self, mut v: u64) {
+    pub fn push_dec(&mut self, v: u64) {
         let mut tmp = [0u8; 20];
-        let mut i = tmp.len();
-        loop {
-            i -= 1;
-            tmp[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        for &b in &tmp[i..] {
-            if self.len == self.bytes.len() {
-                return;
-            }
-            self.bytes[self.len] = b;
-            self.len += 1;
-        }
+        self.push_str(crate::json::dec(v, &mut tmp));
     }
 
     /// Appends `v` in lowercase hex (no `0x` prefix).
@@ -677,6 +662,12 @@ impl SigBuf {
 impl Default for SigBuf {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl crate::json::Sink for SigBuf {
+    fn push_str(&mut self, s: &str) {
+        SigBuf::push_str(self, s);
     }
 }
 

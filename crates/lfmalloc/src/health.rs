@@ -34,6 +34,7 @@ use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::heap::ProcHeap;
 use crate::instance::{Inner, LfMalloc};
+use crate::json::{self, Render, Sink, Writer};
 use osmem::PageSource;
 
 /// What the watchdog does when a retry loop crosses the ceiling.
@@ -445,53 +446,41 @@ impl HealthSnapshot {
     /// Single-line JSON fragment (object), embedded by
     /// `StatsSnapshot::to_json` and usable standalone.
     pub fn to_json(&self) -> String {
-        let mut storms = String::new();
-        for (i, n) in self.storms.iter().enumerate() {
-            if i > 0 {
-                storms.push(',');
-            }
-            storms.push_str(&format!("\"{}\":{}", SITE_LABELS[i], n));
+        json::to_string(self)
+    }
+}
+
+impl Render for HealthSnapshot {
+    fn render<W: Sink>(&self, w: &mut Writer<W>) {
+        w.obj()
+            .field("degraded", self.is_degraded())
+            .field("policy", self.policy.label())
+            .field("retry_ceiling", self.retry_ceiling)
+            .key("storms")
+            .obj();
+        for (label, n) in SITE_LABELS.iter().zip(&self.storms) {
+            w.field(label, n);
         }
-        format!(
-            "{{\"degraded\":{},\"policy\":\"{}\",\"retry_ceiling\":{},\
-             \"storms\":{{{}}},\"throttle_activations\":{},\
-             \"maintain_passes\":{},\"reaper_passes\":{},\"reaped_retired\":{},\
-             \"quarantine_flushed\":{},\"empty_pruned\":{},\
-             \"audit_slice_checked\":{},\"audit_slice_flagged\":{},\
-             \"last_audit_violations\":{},\"hazard_records\":{},\
-             \"hazard_retired\":{},\"hazard_retired_high_water\":{},\
-             \"hazard_leaked\":{},\"quarantine_depth\":{},\
-             \"os_live_bytes\":{},\"os_watermark\":{},\
-             \"fork_generation\":{},\"fork_recoveries\":{}}}",
-            self.is_degraded(),
-            self.policy.label(),
-            self.retry_ceiling,
-            storms,
-            self.throttle_activations,
-            self.maintain_passes,
-            self.reaper_passes,
-            self.reaped_retired,
-            self.quarantine_flushed,
-            self.empty_pruned,
-            self.audit_slice_checked,
-            self.audit_slice_flagged,
-            match self.last_audit_violations {
-                Some(v) => v.to_string(),
-                None => "null".into(),
-            },
-            self.hazard_records,
-            self.hazard_retired,
-            self.hazard_retired_high_water,
-            self.hazard_leaked,
-            self.quarantine_depth,
-            self.os_live_bytes,
-            match self.os_watermark {
-                Some(w) => w.to_string(),
-                None => "null".into(),
-            },
-            self.fork_generation,
-            self.fork_recoveries,
-        )
+        w.end_obj()
+            .field("throttle_activations", self.throttle_activations)
+            .field("maintain_passes", self.maintain_passes)
+            .field("reaper_passes", self.reaper_passes)
+            .field("reaped_retired", self.reaped_retired)
+            .field("quarantine_flushed", self.quarantine_flushed)
+            .field("empty_pruned", self.empty_pruned)
+            .field("audit_slice_checked", self.audit_slice_checked)
+            .field("audit_slice_flagged", self.audit_slice_flagged)
+            .field("last_audit_violations", self.last_audit_violations)
+            .field("hazard_records", self.hazard_records)
+            .field("hazard_retired", self.hazard_retired)
+            .field("hazard_retired_high_water", self.hazard_retired_high_water)
+            .field("hazard_leaked", self.hazard_leaked)
+            .field("quarantine_depth", self.quarantine_depth)
+            .field("os_live_bytes", self.os_live_bytes)
+            .field("os_watermark", self.os_watermark)
+            .field("fork_generation", self.fork_generation)
+            .field("fork_recoveries", self.fork_recoveries)
+            .end_obj();
     }
 }
 
@@ -586,6 +575,22 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"degraded\":false"));
         assert!(json.contains("\"fork_recoveries\":0"));
+    }
+
+    #[cfg(feature = "stats")]
+    #[test]
+    fn json_options_read_null_until_set() {
+        use crate::json::Json;
+        let a = crate::LfMalloc::new_default();
+        let v = Json::parse(&a.health().to_json()).unwrap();
+        assert_eq!(v.get("last_audit_violations"), Some(&Json::Null));
+        assert_eq!(v.get("os_watermark"), Some(&Json::Null));
+        assert!(a.audit().is_clean());
+        // SAFETY: nothing is allocated from `a`, so it is quiescent.
+        unsafe { a.trim_to(1 << 20) };
+        let v = Json::parse(&a.health().to_json()).unwrap();
+        assert_eq!(v.get("last_audit_violations").and_then(Json::as_u64), Some(0));
+        assert_eq!(v.get("os_watermark").and_then(Json::as_u64), Some(1 << 20));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! # Dump format
 //!
-//! A dump is a single JSON object with `"format": "lfmalloc-heapdump"`
-//! and an integer `"version"` (currently [`DUMP_VERSION`]). Consumers
+//! A dump is a single JSON object, written one line per section, with
+//! `"format": "lfmalloc-heapdump"` and an integer `"version"`
+//! (currently [`DUMP_VERSION`]). Consumers
 //! must reject unknown formats and major versions; producers may only
 //! *add* fields within a version — removals or semantic changes bump
 //! the version. Version 1 carries:
@@ -27,10 +28,11 @@
 //!
 //! [`LfMalloc::dump_heap`] is the quiescent path (opens a file, may
 //! allocate, includes the profile section). [`LfMalloc::dump_heap_fd`]
-//! is the best-effort crash-context path: it renders through the same
-//! fixed-buffer [`SigBuf`]/[`FdWriter`] primitives as the crash
-//! reporter — no allocation, no locks — and therefore omits the
-//! profile section. Both emit the same format/version.
+//! is the best-effort crash-context path: the [`json::Writer`](crate::json::Writer)
+//! renders into the crash reporter's fixed-buffer [`SigBuf`], flushed
+//! line by line through [`FdWriter`] — no allocation, no locks — and
+//! the profile section, whose report allocates, is omitted. Both emit
+//! the same format/version.
 //!
 //! Occupancy numbers are racy snapshots when the heap is not quiescent:
 //! each descriptor's anchor is read once, and `Active` superblocks hold
@@ -50,6 +52,7 @@ use crate::forensics::{
 };
 use crate::harden::{Hardening, MisuseKind};
 use crate::instance::{Inner, LfMalloc};
+use crate::json::{Json, Writer};
 use crate::size_classes::NUM_CLASSES;
 
 /// Current dump format version. See the module docs for the
@@ -59,32 +62,14 @@ pub const DUMP_VERSION: u64 = 1;
 /// Flight-recorder entries included in a dump.
 const DUMP_TAIL: usize = 64;
 
-fn wline(w: &mut impl Write, b: &SigBuf) -> io::Result<()> {
+/// Writes the buffered line to `w` and clears the buffer; the writer
+/// keeps its comma state, so the next line continues the document.
+fn line(w: &mut impl Write, j: &mut Writer<SigBuf>) -> io::Result<()> {
+    let b = j.sink();
     w.write_all(b.as_bytes())?;
-    w.write_all(b"\n")
-}
-
-/// Appends `s` JSON-escaped (quotes not included).
-#[cfg_attr(not(feature = "profile"), allow(dead_code))]
-fn push_json_str(b: &mut SigBuf, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => b.push_str("\\\""),
-            '\\' => b.push_str("\\\\"),
-            '\n' => b.push_str("\\n"),
-            '\r' => b.push_str("\\r"),
-            '\t' => b.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                b.push_str("\\u00");
-                b.push_hex(((c as u32) >> 4) as u64);
-                b.push_hex(((c as u32) & 0xF) as u64);
-            }
-            c => {
-                let mut tmp = [0u8; 4];
-                b.push_str(c.encode_utf8(&mut tmp));
-            }
-        }
-    }
+    w.write_all(b"\n")?;
+    b.clear();
+    Ok(())
 }
 
 /// Aggregates built from one pass over the descriptor universe.
@@ -142,147 +127,97 @@ pub(crate) fn render_dump<S: PageSource>(
     w: &mut impl Write,
     include_profile: bool,
 ) -> io::Result<()> {
-    let mut b = SigBuf::new();
+    let mut j = Writer::new(SigBuf::new());
+    j.obj().field("format", "lfmalloc-heapdump").field("version", DUMP_VERSION);
+    line(w, &mut j)?;
 
-    b.push_str("{\"format\":\"lfmalloc-heapdump\",\"version\":");
-    b.push_dec(DUMP_VERSION);
-    b.push_str(",");
-    wline(w, &b)?;
-
-    b.clear();
-    b.push_str("\"nheaps\":");
-    b.push_dec(inner.nheaps as u64);
-    b.push_str(",\"hardening\":\"");
-    b.push_str(match inner.config.hardening {
+    let hardening = match inner.config.hardening {
         Hardening::Off => "off",
         Hardening::Detect => "detect",
         Hardening::Abort => "abort",
-    });
-    b.push_str("\",");
-    wline(w, &b)?;
+    };
+    j.field("nheaps", inner.nheaps).field("hardening", hardening);
+    line(w, &mut j)?;
 
     let rec = inner.reconcile_bytes();
-    b.clear();
-    b.push_str("\"os\":{\"superblock_bytes\":");
-    b.push_dec(rec.superblock_bytes as u64);
-    b.push_str(",\"descriptor_slab_bytes\":");
-    b.push_dec(rec.descriptor_slab_bytes as u64);
-    b.push_str(",\"large_bytes\":");
-    b.push_dec(rec.large_bytes as u64);
-    b.push_str(",\"source_live_bytes\":");
-    b.push_dec(rec.source_live_bytes as u64);
-    b.push_str(",\"reconciles\":");
-    b.push_str(if rec.reconciles() { "true" } else { "false" });
-    b.push_str("},");
-    wline(w, &b)?;
+    j.key("os")
+        .obj()
+        .field("superblock_bytes", rec.superblock_bytes)
+        .field("descriptor_slab_bytes", rec.descriptor_slab_bytes)
+        .field("large_bytes", rec.large_bytes)
+        .field("source_live_bytes", rec.source_live_bytes)
+        .field("reconciles", rec.reconciles())
+        .end_obj();
+    line(w, &mut j)?;
 
     let (storms, throttles, passes, recoveries) = inner.health.crash_counters();
-    b.clear();
-    b.push_str("\"health\":{\"storms\":");
-    b.push_dec(storms);
-    b.push_str(",\"throttles\":");
-    b.push_dec(throttles);
-    b.push_str(",\"maintain_passes\":");
-    b.push_dec(passes);
-    b.push_str(",\"fork_recoveries\":");
-    b.push_dec(recoveries);
-    b.push_str("},");
-    wline(w, &b)?;
+    j.key("health")
+        .obj()
+        .field("storms", storms)
+        .field("throttles", throttles)
+        .field("maintain_passes", passes)
+        .field("fork_recoveries", recoveries)
+        .end_obj();
+    line(w, &mut j)?;
 
-    b.clear();
-    b.push_str("\"misuse\":{\"invalid_free\":");
-    b.push_dec(inner.misuse.count(MisuseKind::InvalidFree));
-    b.push_str(",\"double_free\":");
-    b.push_dec(inner.misuse.count(MisuseKind::DoubleFree));
-    b.push_str(",\"poison_violation\":");
-    b.push_dec(inner.misuse.count(MisuseKind::PoisonViolation));
-    b.push_str(",\"guard_overrun\":");
-    b.push_dec(inner.misuse.count(MisuseKind::GuardOverrun));
-    b.push_str(",\"reentrant_alloc\":");
-    b.push_dec(inner.misuse.count(MisuseKind::ReentrantAlloc));
-    b.push_str("},");
-    wline(w, &b)?;
+    let m = &inner.misuse;
+    j.key("misuse")
+        .obj()
+        .field("invalid_free", m.count(MisuseKind::InvalidFree))
+        .field("double_free", m.count(MisuseKind::DoubleFree))
+        .field("poison_violation", m.count(MisuseKind::PoisonViolation))
+        .field("guard_overrun", m.count(MisuseKind::GuardOverrun))
+        .field("reentrant_alloc", m.count(MisuseKind::ReentrantAlloc))
+        .end_obj();
+    line(w, &mut j)?;
 
     let walk = walk_descriptors(inner);
-    b.clear();
-    b.push_str("\"descriptors\":{\"total\":");
-    b.push_dec(walk.total);
-    b.push_str(",\"active\":");
-    b.push_dec(walk.by_state[SbState::Active as usize]);
-    b.push_str(",\"full\":");
-    b.push_dec(walk.by_state[SbState::Full as usize]);
-    b.push_str(",\"partial\":");
-    b.push_dec(walk.by_state[SbState::Partial as usize]);
-    b.push_str(",\"empty\":");
-    b.push_dec(walk.by_state[SbState::Empty as usize]);
-    b.push_str(",\"unbound\":");
-    b.push_dec(walk.unbound);
-    b.push_str("},");
-    wline(w, &b)?;
+    j.key("descriptors")
+        .obj()
+        .field("total", walk.total)
+        .field("active", walk.by_state[SbState::Active as usize])
+        .field("full", walk.by_state[SbState::Full as usize])
+        .field("partial", walk.by_state[SbState::Partial as usize])
+        .field("empty", walk.by_state[SbState::Empty as usize])
+        .field("unbound", walk.unbound)
+        .end_obj();
+    line(w, &mut j)?;
 
-    w.write_all(b"\"classes\":[\n")?;
-    let mut first = true;
-    for (ci, c) in walk.classes.iter().enumerate() {
-        if c[0] == 0 {
-            continue;
-        }
-        b.clear();
-        if !first {
-            b.push_str(",");
-        }
-        first = false;
-        b.push_str("{\"class\":");
-        b.push_dec(ci as u64);
-        b.push_str(",\"size\":");
-        b.push_dec(inner.classes[ci].sz as u64);
-        b.push_str(",\"superblocks\":");
-        b.push_dec(c[0]);
-        b.push_str(",\"blocks_used\":");
-        b.push_dec(c[1]);
-        b.push_str(",\"blocks_capacity\":");
-        b.push_dec(c[2]);
-        b.push_str("}");
-        wline(w, &b)?;
+    j.key("classes").arr();
+    line(w, &mut j)?;
+    for (ci, c) in walk.classes.iter().enumerate().filter(|(_, c)| c[0] != 0) {
+        j.obj()
+            .field("class", ci)
+            .field("size", inner.classes[ci].sz)
+            .field("superblocks", c[0])
+            .field("blocks_used", c[1])
+            .field("blocks_capacity", c[2])
+            .end_obj();
+        line(w, &mut j)?;
     }
-    w.write_all(b"],\n")?;
+    j.end_arr();
+    line(w, &mut j)?;
 
-    b.clear();
-    b.push_str("\"large\":{\"live\":");
-    b.push_dec(inner.large_live.load(Ordering::Relaxed) as u64);
-    b.push_str(",\"bytes\":");
-    b.push_dec(inner.large_bytes.load(Ordering::Relaxed) as u64);
-    b.push_str(",\"spans\":[");
-    wline(w, &b)?;
-    let mut first = true;
-    let mut err = None;
+    j.key("large")
+        .obj()
+        .field("live", inner.large_live.load(Ordering::Relaxed))
+        .field("bytes", inner.large_bytes.load(Ordering::Relaxed))
+        .key("spans")
+        .arr();
+    line(w, &mut j)?;
+    let mut res = Ok(());
     inner.large_spans.for_each(|base, bytes| {
-        if err.is_some() {
-            return;
-        }
-        let mut lb = SigBuf::new();
-        if !first {
-            lb.push_str(",");
-        }
-        first = false;
-        lb.push_str("{\"base\":");
-        lb.push_dec(base as u64);
-        lb.push_str(",\"bytes\":");
-        lb.push_dec(bytes as u64);
-        lb.push_str("}");
-        if let Err(e) = wline(w, &lb) {
-            err = Some(e);
+        if res.is_ok() {
+            j.obj().field("base", base).field("bytes", bytes).end_obj();
+            res = line(w, &mut j);
         }
     });
-    if let Some(e) = err {
-        return Err(e);
-    }
-    w.write_all(b"]},\n")?;
+    res?;
+    j.end_arr().end_obj();
+    line(w, &mut j)?;
 
-    b.clear();
-    b.push_str("\"quarantine_depth\":");
-    b.push_dec(inner.quarantine_depth() as u64);
-    b.push_str(",");
-    wline(w, &b)?;
+    j.field("quarantine_depth", inner.quarantine_depth());
+    line(w, &mut j)?;
 
     // Flight recorder: keep the DUMP_TAIL newest entries, fixed-array
     // selection as in the crash reporter.
@@ -305,38 +240,29 @@ pub(crate) fn render_dump<S: PageSource>(
         }
     });
     tail[..n].sort_unstable_by(|a, b| b.0.cmp(&a.0));
-    b.clear();
-    b.push_str("\"flight\":{\"dropped\":");
-    b.push_dec(inner.forensics.dropped.get());
-    b.push_str(",\"tail\":[");
-    wline(w, &b)?;
-    for (i, &(seq, meta, ptr)) in tail[..n].iter().enumerate() {
+    j.key("flight").obj().field("dropped", inner.forensics.dropped.get()).key("tail").arr();
+    line(w, &mut j)?;
+    for &(seq, meta, ptr) in &tail[..n] {
         let (op_bits, class, tid) = unpack_meta(meta);
-        b.clear();
-        if i != 0 {
-            b.push_str(",");
-        }
-        b.push_str("{\"seq\":");
-        b.push_dec(seq);
-        b.push_str(",\"op\":\"");
-        b.push_str(match OpKind::from_bits(op_bits) {
+        let op = match OpKind::from_bits(op_bits) {
             Some(k) => k.label(),
             None => "unknown",
-        });
-        b.push_str("\",\"class\":");
-        b.push_dec(class as u64);
-        b.push_str(",\"tid\":");
-        b.push_dec(tid as u64);
-        b.push_str(",\"ptr\":");
-        b.push_dec(ptr);
-        b.push_str("}");
-        wline(w, &b)?;
+        };
+        j.obj()
+            .field("seq", seq)
+            .field("op", op)
+            .field("class", class)
+            .field("tid", tid)
+            .field("ptr", ptr)
+            .end_obj();
+        line(w, &mut j)?;
     }
-    w.write_all(b"]}")?;
+    j.end_arr().end_obj();
 
     #[cfg(feature = "profile")]
     if include_profile {
-        w.write_all(b",\n\"profile\":{\"sites\":[\n")?;
+        j.key("profile").obj().key("sites").arr();
+        line(w, &mut j)?;
         let sites = {
             let inst = unsafe {
                 LfMalloc::<S>::borrow_raw(core::ptr::NonNull::new_unchecked(
@@ -345,28 +271,22 @@ pub(crate) fn render_dump<S: PageSource>(
             };
             inst.retention_report()
         };
-        for (i, site) in sites.iter().enumerate() {
-            b.clear();
-            if i != 0 {
-                b.push_str(",");
-            }
-            b.push_str("{\"file\":\"");
-            push_json_str(&mut b, site.site.file);
-            b.push_str("\",\"line\":");
-            b.push_dec(site.site.line as u64);
-            b.push_str(",\"live_bytes\":");
-            b.push_dec(site.live_bytes);
-            b.push_str(",\"live_samples\":");
-            b.push_dec(site.live_samples);
-            b.push_str("}");
-            wline(w, &b)?;
+        for site in &sites {
+            j.obj()
+                .field("file", site.site.file)
+                .field("line", site.site.line)
+                .field("live_bytes", site.live_bytes)
+                .field("live_samples", site.live_samples)
+                .end_obj();
+            line(w, &mut j)?;
         }
-        w.write_all(b"]}")?;
+        j.end_arr().end_obj();
     }
     #[cfg(not(feature = "profile"))]
     let _ = include_profile;
 
-    w.write_all(b"}\n")
+    j.end_obj();
+    line(w, &mut j)
 }
 
 impl<S: PageSource> LfMalloc<S> {
@@ -395,232 +315,11 @@ impl<S: PageSource> LfMalloc<S> {
 }
 
 // ---------------------------------------------------------------------
-// Offline side: minimal JSON parser + analyzers
+// Offline side: analyzers over the shared JSON parser
 // ---------------------------------------------------------------------
 
-/// Minimal JSON value for the offline analyzers (no external deps).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    fn u64_at(&self, key: &str) -> u64 {
-        self.get(key).and_then(Json::as_u64).unwrap_or(0)
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn lit(&mut self, text: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        core::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| core::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err("bad escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(&c) => {
-                    // Copy the full UTF-8 sequence.
-                    let len = match c {
-                        c if c < 0x80 => 1,
-                        c if c >= 0xF0 => 4,
-                        c if c >= 0xE0 => 3,
-                        _ => 2,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .and_then(|b| core::str::from_utf8(b).ok())
-                        .ok_or("bad utf-8 in string")?;
-                    out.push_str(chunk);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("bad array at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            pairs.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("bad object at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
 fn parse_dump(text: &str) -> Result<Json, String> {
-    let mut p = Parser::new(text);
-    let v = p.value()?;
+    let v = Json::parse(text)?;
     match v.get("format").and_then(Json::as_str) {
         Some("lfmalloc-heapdump") => {}
         Some(other) => return Err(format!("not a heap dump (format {other:?})")),
@@ -744,58 +443,44 @@ impl AnalyzeReport {
 pub fn analyze_dump(text: &str) -> Result<AnalyzeReport, String> {
     let v = parse_dump(text)?;
     let mut leaks: Vec<LeakCandidate> = v
-        .get("profile")
-        .and_then(|p| p.get("sites"))
-        .and_then(Json::as_arr)
-        .map(|sites| {
-            sites
-                .iter()
-                .map(|s| LeakCandidate {
-                    file: s.get("file").and_then(Json::as_str).unwrap_or("?").to_string(),
-                    line: s.u64_at("line"),
-                    live_bytes: s.u64_at("live_bytes"),
-                    live_samples: s.u64_at("live_samples"),
-                })
-                .collect()
+        .arr_at("profile.sites")
+        .iter()
+        .map(|s| LeakCandidate {
+            file: s.get("file").and_then(Json::as_str).unwrap_or("?").to_string(),
+            line: s.u64_at("line"),
+            live_bytes: s.u64_at("live_bytes"),
+            live_samples: s.u64_at("live_samples"),
         })
-        .unwrap_or_default();
+        .collect();
     leaks.sort_by(|a, b| b.live_bytes.cmp(&a.live_bytes));
 
     let classes: Vec<ClassCensus> = v
-        .get("classes")
-        .and_then(Json::as_arr)
-        .map(|cs| {
-            cs.iter()
-                .map(|c| ClassCensus {
-                    class: c.u64_at("class"),
-                    size: c.u64_at("size"),
-                    superblocks: c.u64_at("superblocks"),
-                    blocks_used: c.u64_at("blocks_used"),
-                    blocks_capacity: c.u64_at("blocks_capacity"),
-                })
-                .collect()
+        .arr_at("classes")
+        .iter()
+        .map(|c| ClassCensus {
+            class: c.u64_at("class"),
+            size: c.u64_at("size"),
+            superblocks: c.u64_at("superblocks"),
+            blocks_used: c.u64_at("blocks_used"),
+            blocks_capacity: c.u64_at("blocks_capacity"),
         })
-        .unwrap_or_default();
+        .collect();
     let small_used_bytes = classes.iter().map(|c| c.blocks_used * c.size).sum();
     let small_capacity_bytes = classes.iter().map(|c| c.blocks_capacity * c.size).sum();
 
-    let d = v.get("descriptors");
     let descriptors = DescriptorCensus {
-        total: d.map_or(0, |d| d.u64_at("total")),
-        active: d.map_or(0, |d| d.u64_at("active")),
-        full: d.map_or(0, |d| d.u64_at("full")),
-        partial: d.map_or(0, |d| d.u64_at("partial")),
-        empty: d.map_or(0, |d| d.u64_at("empty")),
-        unbound: d.map_or(0, |d| d.u64_at("unbound")),
+        total: v.u64_at("descriptors.total"),
+        active: v.u64_at("descriptors.active"),
+        full: v.u64_at("descriptors.full"),
+        partial: v.u64_at("descriptors.partial"),
+        empty: v.u64_at("descriptors.empty"),
+        unbound: v.u64_at("descriptors.unbound"),
     };
 
-    let misuse_total = v
-        .get("misuse")
-        .map(|m| match m {
-            Json::Obj(pairs) => pairs.iter().filter_map(|(_, v)| v.as_u64()).sum(),
-            _ => 0,
-        })
-        .unwrap_or(0);
+    let misuse_total = match v.get("misuse") {
+        Some(Json::Obj(pairs)) => pairs.iter().filter_map(|(_, v)| v.as_u64()).sum(),
+        _ => 0,
+    };
 
     Ok(AnalyzeReport {
         version: v.u64_at("version"),
@@ -803,27 +488,15 @@ pub fn analyze_dump(text: &str) -> Result<AnalyzeReport, String> {
         leak_candidates: leaks,
         classes,
         descriptors,
-        large_spans: v
-            .get("large")
-            .and_then(|l| l.get("spans"))
-            .and_then(Json::as_arr)
-            .map_or(0, |s| s.len() as u64),
-        large_bytes: v.get("large").map_or(0, |l| l.u64_at("bytes")),
+        large_spans: v.arr_at("large.spans").len() as u64,
+        large_bytes: v.u64_at("large.bytes"),
         quarantine_depth: v.u64_at("quarantine_depth"),
-        os_live_bytes: v.get("os").map_or(0, |o| o.u64_at("source_live_bytes")),
-        reconciles: v
-            .get("os")
-            .and_then(|o| o.get("reconciles"))
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
+        os_live_bytes: v.u64_at("os.source_live_bytes"),
+        reconciles: v.get("os.reconciles").and_then(Json::as_bool).unwrap_or(false),
         small_used_bytes,
         small_capacity_bytes,
-        flight_len: v
-            .get("flight")
-            .and_then(|f| f.get("tail"))
-            .and_then(Json::as_arr)
-            .map_or(0, |t| t.len() as u64),
-        flight_dropped: v.get("flight").map_or(0, |f| f.u64_at("dropped")),
+        flight_len: v.arr_at("flight.tail").len() as u64,
+        flight_dropped: v.u64_at("flight.dropped"),
         misuse_total,
     })
 }
@@ -1090,14 +763,5 @@ mod tests {
         assert_eq!(d.delta_os_bytes, 0);
         let text = d.to_string();
         assert!(text.contains("leaky.rs:42"));
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let mut p = Parser::new(r#"{"a\n\"b":[1,2.5,-3,true,false,null,{"x":"A"}]}"#);
-        let v = p.value().unwrap();
-        let arr = v.get("a\n\"b").unwrap().as_arr().unwrap();
-        assert_eq!(arr[0].as_u64(), Some(1));
-        assert_eq!(arr[6].get("x").and_then(Json::as_str), Some("A"));
     }
 }

@@ -150,6 +150,7 @@ pub mod heap;
 #[cfg(feature = "forensics")]
 pub mod heapdump;
 pub mod instance;
+pub mod json;
 pub mod large;
 pub mod maintain;
 #[cfg(feature = "stats")]

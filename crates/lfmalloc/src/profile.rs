@@ -42,6 +42,7 @@
 
 use crate::config::{ProfileParams, PREFIX_SIZE};
 use crate::instance::Inner;
+use crate::json::{self, Render, Sink, Writer};
 use crate::size_classes::NUM_CLASSES;
 use core::cell::UnsafeCell;
 use core::panic::Location;
@@ -483,64 +484,42 @@ impl ProfileSnapshot {
         out
     }
 
-    /// Hand-rolled JSON object (embedded by `StatsSnapshot::to_json`).
+    /// JSON object (embedded by `StatsSnapshot::to_json`).
     pub fn to_json(&self) -> String {
-        let sites: Vec<String> = self
-            .sites()
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"site\":\"{}\",\"live_samples\":{},\"live_bytes\":{},\
-                     \"requested_bytes\":{},\"block_bytes\":{},\"threads\":{},\
-                     \"top_class\":{},\"oldest_age_nanos\":{}}}",
-                    json_escape(&r.site.to_string()),
-                    r.live_samples,
-                    r.live_bytes,
-                    r.requested_bytes,
-                    r.block_bytes,
-                    r.threads,
-                    r.top_class,
-                    r.oldest_age_nanos
-                )
-            })
-            .collect();
-        let (req, blk) = self.internal_frag_bytes();
-        format!(
-            "{{\"stride_bytes\":{},\"seed\":{},\"samples_taken\":{},\
-             \"samples_dropped\":{},\"sampled_frees\":{},\"live_samples\":{},\
-             \"live_bytes_estimate\":{},\"sampled_requested_bytes\":{},\
-             \"sampled_block_bytes\":{},\"internal_frag_permille\":{},\
-             \"sites\":[{}]}}",
-            self.stride_bytes,
-            self.seed,
-            self.samples_taken,
-            self.samples_dropped,
-            self.sampled_frees,
-            self.live.len(),
-            self.live_bytes_estimate(),
-            req,
-            blk,
-            self.internal_frag_permille(),
-            sites.join(",")
-        )
+        json::to_string(self)
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl Render for ProfileSnapshot {
+    fn render<W: Sink>(&self, w: &mut Writer<W>) {
+        let (req, blk) = self.internal_frag_bytes();
+        w.obj()
+            .field("stride_bytes", self.stride_bytes)
+            .field("seed", self.seed)
+            .field("samples_taken", self.samples_taken)
+            .field("samples_dropped", self.samples_dropped)
+            .field("sampled_frees", self.sampled_frees)
+            .field("live_samples", self.live.len())
+            .field("live_bytes_estimate", self.live_bytes_estimate())
+            .field("sampled_requested_bytes", req)
+            .field("sampled_block_bytes", blk)
+            .field("internal_frag_permille", self.internal_frag_permille())
+            .key("sites")
+            .arr();
+        for r in self.sites() {
+            w.obj()
+                .field("site", r.site.to_string().as_str())
+                .field("live_samples", r.live_samples)
+                .field("live_bytes", r.live_bytes)
+                .field("requested_bytes", r.requested_bytes)
+                .field("block_bytes", r.block_bytes)
+                .field("threads", r.threads)
+                .field("top_class", r.top_class)
+                .field("oldest_age_nanos", r.oldest_age_nanos)
+                .end_obj();
         }
+        w.end_arr().end_obj();
     }
-    out
 }
 
 impl<S: PageSource> crate::instance::LfMalloc<S> {
@@ -657,13 +636,6 @@ mod tests {
         }
         assert_eq!(p.samples.get(), SAMPLE_TABLE_CAP as u64);
         assert_eq!(p.dropped.get(), 10);
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("plain/path.rs"), "plain/path.rs");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\ny");
     }
 
     #[test]

@@ -20,11 +20,13 @@
 //!
 //! The event ring reuses the Vyukov [`BoundedQueue`]: fixed capacity,
 //! pre-allocated, never blocking. When full it overwrites the oldest
-//! event (pop once, retry) and counts what it had to drop.
+//! entry (pop once, retry) and counts what it had to drop. The
+//! fragmentation time series is the same ring over [`FragSample`]s.
 
 use crate::config::SB_SIZE;
 use crate::heap::ProcHeap;
 use crate::instance::{Inner, LfMalloc};
+use crate::json::{self, Render, Sink, Writer};
 use crate::size_classes::{CLASS_SIZES, NUM_CLASSES};
 use hazard::HazardStats;
 use lockfree_structs::stats::StructsCasStats;
@@ -154,27 +156,28 @@ fn now_nanos() -> u64 {
     monotonic_nanos()
 }
 
-/// Fixed-capacity, lock-free ring of slow-path [`Event`]s.
+/// Fixed-capacity, lock-free ring of slow-path [`Event`]s (and, as
+/// `EventRing<FragSample>`, of the fragmentation time series).
 ///
 /// Recording never blocks and never allocates: on a full ring the
-/// oldest event is popped to make room; if even that race is lost the
-/// event is dropped and counted.
+/// oldest entry is popped to make room; if even that race is lost the
+/// entry is dropped and counted.
 #[derive(Debug)]
-pub struct EventRing {
-    ring: Option<BoundedQueue<Event>>,
+pub struct EventRing<T = Event> {
+    ring: Option<BoundedQueue<T>>,
     dropped: Counter,
 }
 
-impl EventRing {
-    /// A ring of (at least) `cap` events; a failed buffer allocation
+impl<T> EventRing<T> {
+    /// A ring of (at least) `cap` entries; a failed buffer allocation
     /// degrades to a ring that drops everything rather than failing
     /// instance construction.
     pub(crate) fn new(cap: usize) -> Self {
         EventRing { ring: BoundedQueue::new(cap), dropped: Counter::new() }
     }
 
-    /// Records `ev`, overwriting the oldest event when full.
-    pub fn record(&self, ev: Event) {
+    /// Records `ev`, overwriting the oldest entry when full.
+    pub fn record(&self, ev: T) {
         let Some(ring) = &self.ring else {
             self.dropped.inc();
             return;
@@ -186,7 +189,8 @@ impl EventRing {
         // capacity (every double-failure removes two events and inserts
         // none). Eight attempts make that outcome vanishingly rare
         // while still bounding the worst case; this path only runs on
-        // slow-path events, never on the malloc/free fast path.
+        // slow-path events and maintenance passes, never on the
+        // malloc/free fast path.
         let mut ev = ev;
         for _ in 0..8 {
             match ring.push(ev) {
@@ -201,12 +205,12 @@ impl EventRing {
         self.dropped.inc();
     }
 
-    /// Pops the oldest recorded event.
-    pub fn pop(&self) -> Option<Event> {
+    /// Pops the oldest recorded entry.
+    pub fn pop(&self) -> Option<T> {
         self.ring.as_ref()?.pop()
     }
 
-    /// Events lost to eviction races or a failed ring allocation.
+    /// Entries lost to eviction races or a failed ring allocation.
     pub fn dropped(&self) -> u64 {
         self.dropped.get()
     }
@@ -234,51 +238,22 @@ pub struct FragSample {
 }
 
 impl FragSample {
-    /// Hand-rolled JSON object (one time-series point).
+    /// One time-series point as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"nanos\":{},\"small_committed_bytes\":{},\"small_live_bytes\":{},\
-             \"large_live_bytes\":{},\"os_live_bytes\":{},\"external_frag_permille\":{}}}",
-            self.nanos,
-            self.small_committed_bytes,
-            self.small_live_bytes,
-            self.large_live_bytes,
-            self.os_live_bytes,
-            self.external_frag_permille
-        )
+        json::to_string(self)
     }
 }
 
-/// Bounded, lock-free ring of [`FragSample`]s — the same evict-oldest
-/// discipline as [`EventRing`], sized for minutes of history.
-#[derive(Debug)]
-pub struct FragSeries {
-    ring: Option<BoundedQueue<FragSample>>,
-}
-
-impl FragSeries {
-    pub(crate) fn new(cap: usize) -> Self {
-        FragSeries { ring: BoundedQueue::new(cap) }
-    }
-
-    /// Records a sample, evicting the oldest when full.
-    pub(crate) fn record(&self, s: FragSample) {
-        let Some(ring) = &self.ring else { return };
-        let mut s = s;
-        for _ in 0..2 {
-            match ring.push(s) {
-                Ok(()) => return,
-                Err(back) => {
-                    s = back;
-                    let _ = ring.pop();
-                }
-            }
-        }
-    }
-
-    /// Pops the oldest sample.
-    pub fn pop(&self) -> Option<FragSample> {
-        self.ring.as_ref()?.pop()
+impl Render for FragSample {
+    fn render<W: Sink>(&self, w: &mut Writer<W>) {
+        w.obj()
+            .field("nanos", self.nanos)
+            .field("small_committed_bytes", self.small_committed_bytes)
+            .field("small_live_bytes", self.small_live_bytes)
+            .field("large_live_bytes", self.large_live_bytes)
+            .field("os_live_bytes", self.os_live_bytes)
+            .field("external_frag_permille", self.external_frag_permille)
+            .end_obj();
     }
 }
 
@@ -313,7 +288,7 @@ pub(crate) struct InstanceStats {
     pub lat_maintain: LatencyHist,
     pub lat_trim: LatencyHist,
     /// Fragmentation time series, fed by the maintenance pass.
-    pub frag_series: FragSeries,
+    pub frag_series: EventRing<FragSample>,
     /// Scrape-endpoint control plane (see [`crate::metrics`]).
     pub(crate) metrics: crate::metrics::MetricsState,
 }
@@ -347,7 +322,7 @@ impl InstanceStats {
             lat_free_large: LatencyHist::new(),
             lat_maintain: LatencyHist::new(),
             lat_trim: LatencyHist::new(),
-            frag_series: FragSeries::new(FRAG_SERIES_CAP),
+            frag_series: EventRing::new(FRAG_SERIES_CAP),
             metrics: crate::metrics::MetricsState::new(),
         })
     }
@@ -459,35 +434,27 @@ impl ClassStats {
             self.anchor_cas[i] += other.anchor_cas[i];
         }
     }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"class\":{},\"size\":{},\"malloc_fast\":{},\"malloc_slow\":{},\
-             \"malloc_newsb\":{},\"free_local\":{},\"free_remote\":{},\
-             \"free_teardown\":{},\"free_empty\":{},\
-             \"partial_push\":{},\"partial_pop\":{},\"partial_reuse\":{},\
-             \"active_cas\":{},\"anchor_cas\":{}}}",
-            self.class,
-            self.block_size,
-            self.malloc_fast,
-            self.malloc_slow,
-            self.malloc_newsb,
-            self.free_local,
-            self.free_remote,
-            self.free_teardown,
-            self.free_empty,
-            self.partial_push,
-            self.partial_pop,
-            self.partial_reuse,
-            json_array(&self.active_cas),
-            json_array(&self.anchor_cas),
-        )
-    }
 }
 
-fn json_array(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", items.join(","))
+impl Render for ClassStats {
+    fn render<W: Sink>(&self, w: &mut Writer<W>) {
+        w.obj()
+            .field("class", self.class)
+            .field("size", self.block_size)
+            .field("malloc_fast", self.malloc_fast)
+            .field("malloc_slow", self.malloc_slow)
+            .field("malloc_newsb", self.malloc_newsb)
+            .field("free_local", self.free_local)
+            .field("free_remote", self.free_remote)
+            .field("free_teardown", self.free_teardown)
+            .field("free_empty", self.free_empty)
+            .field("partial_push", self.partial_push)
+            .field("partial_pop", self.partial_pop)
+            .field("partial_reuse", self.partial_reuse)
+            .field("active_cas", &self.active_cas[..])
+            .field("anchor_cas", &self.anchor_cas[..])
+            .end_obj();
+    }
 }
 
 /// Per-op latency distributions of the snapshot, one
@@ -541,27 +508,24 @@ impl LatencyStats {
             ("trim", &self.trim),
         ]
     }
+}
 
-    fn to_json(&self) -> String {
-        let parts: Vec<String> = self
-            .paths()
-            .iter()
-            .map(|(name, s)| {
-                format!(
-                    "\"{}\":{{\"count\":{},\"sum_nanos\":{},\"p50\":{},\"p90\":{},\
-                     \"p99\":{},\"p999\":{},\"buckets\":{}}}",
-                    name,
-                    s.count(),
-                    s.sum_nanos,
-                    s.percentile(0.50),
-                    s.percentile(0.90),
-                    s.percentile(0.99),
-                    s.percentile(0.999),
-                    json_array(&s.buckets)
-                )
-            })
-            .collect();
-        format!("{{{}}}", parts.join(","))
+impl Render for LatencyStats {
+    fn render<W: Sink>(&self, w: &mut Writer<W>) {
+        w.obj();
+        for (name, s) in self.paths() {
+            w.key(name)
+                .obj()
+                .field("count", s.count())
+                .field("sum_nanos", s.sum_nanos)
+                .field("p50", s.percentile(0.50))
+                .field("p90", s.percentile(0.90))
+                .field("p99", s.percentile(0.99))
+                .field("p999", s.percentile(0.999))
+                .field("buckets", &s.buckets[..])
+                .end_obj();
+        }
+        w.end_obj();
     }
 }
 
@@ -648,28 +612,29 @@ impl FragmentationStats {
     pub fn external_frag_permille(&self) -> u32 {
         frag_permille(self.small_live_bytes, self.small_committed_bytes)
     }
+}
 
-    fn to_json(&self) -> String {
-        let classes: Vec<String> = self
-            .classes
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"class\":{},\"size\":{},\"committed_bytes\":{},\
-                     \"live_bytes\":{},\"frag_permille\":{}}}",
-                    c.class, c.block_size, c.committed_bytes, c.live_bytes, c.frag_permille()
-                )
-            })
-            .collect();
-        format!(
-            "{{\"small_committed_bytes\":{},\"small_live_bytes\":{},\
-             \"large_live_bytes\":{},\"external_frag_permille\":{},\"classes\":[{}]}}",
-            self.small_committed_bytes,
-            self.small_live_bytes,
-            self.large_live_bytes,
-            self.external_frag_permille(),
-            classes.join(",")
-        )
+impl Render for FragClass {
+    fn render<W: Sink>(&self, w: &mut Writer<W>) {
+        w.obj()
+            .field("class", self.class)
+            .field("size", self.block_size)
+            .field("committed_bytes", self.committed_bytes)
+            .field("live_bytes", self.live_bytes)
+            .field("frag_permille", self.frag_permille())
+            .end_obj();
+    }
+}
+
+impl Render for FragmentationStats {
+    fn render<W: Sink>(&self, w: &mut Writer<W>) {
+        w.obj()
+            .field("small_committed_bytes", self.small_committed_bytes)
+            .field("small_live_bytes", self.small_live_bytes)
+            .field("large_live_bytes", self.large_live_bytes)
+            .field("external_frag_permille", self.external_frag_permille())
+            .field("classes", &self.classes[..])
+            .end_obj();
     }
 }
 
@@ -764,71 +729,75 @@ impl StatsSnapshot {
         active
     }
 
-    /// Machine-readable snapshot: one line of JSON (hand-rolled — the
-    /// allocator stack takes no serialization dependency).
+    /// Machine-readable snapshot: one line of compact JSON (rendered
+    /// by [`json::Writer`]; the allocator stack takes no serialization
+    /// dependency).
     pub fn to_json(&self) -> String {
-        let classes: Vec<String> = self
-            .classes
-            .iter()
-            .filter(|c| c.mallocs() + c.frees() + c.partial_push + c.partial_pop > 0)
-            .map(ClassStats::to_json)
-            .collect();
+        json::to_string(self)
+    }
+}
+
+impl Render for StatsSnapshot {
+    fn render<W: Sink>(&self, w: &mut Writer<W>) {
+        w.obj().field("allocator", "lfmalloc").field("totals", &self.totals).key("classes").arr();
+        for c in &self.classes {
+            if c.mallocs() + c.frees() + c.partial_push + c.partial_pop > 0 {
+                w.val(c);
+            }
+        }
+        w.end_arr();
+        w.key("large")
+            .obj()
+            .field("alloc", self.large_alloc)
+            .field("free", self.large_free)
+            .field("live", self.large_live)
+            .end_obj();
+        w.field("oom_backoffs", self.oom_backoffs)
+            .field("trims", self.trims)
+            .field("events_dropped", self.events_dropped);
+        let h = &self.hazard;
+        w.key("hazard")
+            .obj()
+            .field("scans", h.scans)
+            .field("reclaimed", h.reclaimed)
+            .field("retired_high_water", h.retired_high_water)
+            .field("frees_per_scan", &h.frees_per_scan[..])
+            .end_obj();
+        let c = &self.structs_cas;
+        w.key("structs_cas")
+            .obj()
+            .field("queue_enqueue", c.queue_enqueue_retries)
+            .field("queue_dequeue", c.queue_dequeue_retries)
+            .field("stack_push", c.stack_push_retries)
+            .field("stack_pop", c.stack_pop_retries)
+            .end_obj();
+        w.key("os")
+            .obj()
+            .field("live_bytes", self.os.live_bytes)
+            .field("peak_bytes", self.os.peak_bytes)
+            .field("mmap_calls", self.os.os_allocs)
+            .field("munmap_calls", self.os.os_frees)
+            .end_obj();
+        w.key("carves")
+            .obj()
+            .field("superblock", self.sb_carves)
+            .field("descriptor", self.desc_carves)
+            .end_obj();
         let r = &self.reconciliation;
-        format!(
-            "{{\"allocator\":\"lfmalloc\",\"totals\":{},\"classes\":[{}],\
-             \"large\":{{\"alloc\":{},\"free\":{},\"live\":{}}},\
-             \"oom_backoffs\":{},\"trims\":{},\"events_dropped\":{},\
-             \"hazard\":{{\"scans\":{},\"reclaimed\":{},\"retired_high_water\":{},\
-             \"frees_per_scan\":{}}},\
-             \"structs_cas\":{{\"queue_enqueue\":{},\"queue_dequeue\":{},\
-             \"stack_push\":{},\"stack_pop\":{}}},\
-             \"os\":{{\"live_bytes\":{},\"peak_bytes\":{},\"mmap_calls\":{},\
-             \"munmap_calls\":{}}},\
-             \"carves\":{{\"superblock\":{},\"descriptor\":{}}},\
-             \"reconcile\":{{\"superblock_bytes\":{},\"descriptor_slab_bytes\":{},\
-             \"large_bytes\":{},\"source_live_bytes\":{},\"ok\":{}}},\
-             \"health\":{},\"latency\":{},\"fragmentation\":{}{}}}",
-            self.totals.to_json(),
-            classes.join(","),
-            self.large_alloc,
-            self.large_free,
-            self.large_live,
-            self.oom_backoffs,
-            self.trims,
-            self.events_dropped,
-            self.hazard.scans,
-            self.hazard.reclaimed,
-            self.hazard.retired_high_water,
-            json_array(&self.hazard.frees_per_scan),
-            self.structs_cas.queue_enqueue_retries,
-            self.structs_cas.queue_dequeue_retries,
-            self.structs_cas.stack_push_retries,
-            self.structs_cas.stack_pop_retries,
-            self.os.live_bytes,
-            self.os.peak_bytes,
-            self.os.os_allocs,
-            self.os.os_frees,
-            self.sb_carves,
-            self.desc_carves,
-            r.superblock_bytes,
-            r.descriptor_slab_bytes,
-            r.large_bytes,
-            r.source_live_bytes,
-            r.reconciles(),
-            self.health.to_json(),
-            self.latency.to_json(),
-            self.fragmentation.to_json(),
-            {
-                #[cfg(feature = "profile")]
-                {
-                    format!(",\"profile\":{}", self.profile.to_json())
-                }
-                #[cfg(not(feature = "profile"))]
-                {
-                    String::new()
-                }
-            },
-        )
+        w.key("reconcile")
+            .obj()
+            .field("superblock_bytes", r.superblock_bytes)
+            .field("descriptor_slab_bytes", r.descriptor_slab_bytes)
+            .field("large_bytes", r.large_bytes)
+            .field("source_live_bytes", r.source_live_bytes)
+            .field("ok", r.reconciles())
+            .end_obj();
+        w.field("health", &self.health)
+            .field("latency", &self.latency)
+            .field("fragmentation", &self.fragmentation);
+        #[cfg(feature = "profile")]
+        w.field("profile", &self.profile);
+        w.end_obj();
     }
 }
 
@@ -1155,6 +1124,31 @@ mod tests {
         }
         assert_eq!(got.len(), 4, "ring keeps its capacity");
         assert_eq!(got, vec![6, 7, 8, 9], "oldest events were evicted");
+    }
+
+    #[test]
+    fn racing_writers_keep_a_small_ring_near_full() {
+        // Evict-then-push under contention: with too few attempts each
+        // racing writer can evict an entry and then lose its push,
+        // draining the ring instead of keeping it full.
+        let ring = EventRing::new(8);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (ring, start) = (&ring, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..10_000u64 {
+                        ring.record(FragSample { nanos: t << 32 | i, ..FragSample::default() });
+                    }
+                });
+            }
+        });
+        let mut kept = 0;
+        while ring.pop().is_some() {
+            kept += 1;
+        }
+        assert!(kept >= 4, "ring of 8 drained to {kept} (dropped {})", ring.dropped());
     }
 
     #[test]

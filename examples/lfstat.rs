@@ -18,211 +18,12 @@
 //! bytes. `FILE` of `-` reads stdin; records may be surrounded by other
 //! output lines (the last JSON object line wins).
 //!
-//! The JSON reader below is deliberately minimal and dependency-free —
-//! enough for the allocator's own records, not a general parser.
+//! Records and heap dumps are read with the allocator's own JSON
+//! parser (`lfmalloc::json`), the one its producers are tested against.
 
+use lfmalloc::json::Json;
 use lfmalloc_repro::prelude::*;
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------
-// Minimal JSON model
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Walks `a.b.c` through nested objects.
-    fn get(&self, path: &str) -> Option<&Json> {
-        let mut cur = self;
-        for key in path.split('.') {
-            let Json::Obj(fields) = cur else { return None };
-            cur = &fields.iter().find(|(k, _)| k == key)?.1;
-        }
-        Some(cur)
-    }
-
-    fn num(&self, path: &str) -> f64 {
-        match self.get(path) {
-            Some(Json::Num(n)) => *n,
-            _ => 0.0,
-        }
-    }
-
-    fn u64(&self, path: &str) -> u64 {
-        self.num(path) as u64
-    }
-
-    fn str(&self, path: &str) -> &str {
-        match self.get(path) {
-            Some(Json::Str(s)) => s,
-            _ => "",
-        }
-    }
-
-    fn arr(&self, path: &str) -> &[Json] {
-        match self.get(path) {
-            Some(Json::Arr(v)) => v,
-            _ => &[],
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { b: s.as_bytes(), i: 0 }
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected end of input")? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.lit("true", Json::Bool(true)),
-            b'f' => self.lit("false", Json::Bool(false)),
-            b'n' => self.lit("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i).copied().ok_or("unterminated string")? {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    let esc = self.b.get(self.i).copied().ok_or("bad escape")?;
-                    self.i += 1;
-                    match esc {
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            self.i += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{FFFD}'));
-                        }
-                        c => out.push(c as char),
-                    }
-                }
-                c => {
-                    self.i += 1;
-                    out.push(c as char);
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut v = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(v));
-        }
-        loop {
-            v.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(v));
-                }
-                _ => return Err(format!("bad array at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut v = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(v));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            v.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(v));
-                }
-                _ => return Err(format!("bad object at byte {}", self.i)),
-            }
-        }
-    }
-}
 
 /// Loads the last JSON-object line of `path` (`-` = stdin): stats-JSON
 /// records are emitted as the final stdout line by convention, so demo
@@ -249,7 +50,7 @@ fn load_record(path: &str) -> Json {
         });
     // Bench records wrap the allocator stats: unwrap a top-level
     // "stats" field when present.
-    let v = Parser::new(line.trim()).value().unwrap_or_else(|e| {
+    let v = Json::parse(line).unwrap_or_else(|e| {
         eprintln!("lfstat: {path}: {e}");
         std::process::exit(2);
     });
@@ -302,36 +103,36 @@ const LAT_PATHS: [&str; 8] = [
 ];
 
 fn print_record(rec: &Json) {
-    let t = rec.get("totals").cloned().unwrap_or(Json::Obj(vec![]));
-    let mallocs = t.num("malloc_fast") + t.num("malloc_slow") + t.num("malloc_newsb");
-    let frees = t.num("free_local") + t.num("free_remote");
+    let t = |counter: &str| rec.f64_at(&format!("totals.{counter}"));
+    let mallocs = t("malloc_fast") + t("malloc_slow") + t("malloc_newsb");
+    let frees = t("free_local") + t("free_remote");
     println!("== operations ==");
     println!(
         "  small mallocs {:>14}   fast {:.1}%  partial {:.1}%  new-sb {:.1}%",
         mallocs as u64,
-        100.0 * t.num("malloc_fast") / mallocs.max(1.0),
-        100.0 * t.num("malloc_slow") / mallocs.max(1.0),
-        100.0 * t.num("malloc_newsb") / mallocs.max(1.0),
+        100.0 * t("malloc_fast") / mallocs.max(1.0),
+        100.0 * t("malloc_slow") / mallocs.max(1.0),
+        100.0 * t("malloc_newsb") / mallocs.max(1.0),
     );
     println!(
         "  small frees   {:>14}   local {:.1}%  remote {:.1}%  (teardown {})",
         frees as u64,
-        100.0 * t.num("free_local") / frees.max(1.0),
-        100.0 * t.num("free_remote") / frees.max(1.0),
-        t.u64("free_teardown"),
+        100.0 * t("free_local") / frees.max(1.0),
+        100.0 * t("free_remote") / frees.max(1.0),
+        t("free_teardown") as u64,
     );
     println!(
         "  large         {:>14} alloc / {} free ({} live)",
-        rec.u64("large.alloc"),
-        rec.u64("large.free"),
-        rec.u64("large.live"),
+        rec.u64_at("large.alloc"),
+        rec.u64_at("large.free"),
+        rec.u64_at("large.live"),
     );
     println!(
         "  superblocks retired {}   trims {}   oom backoffs {}   events dropped {}",
-        t.u64("free_empty"),
-        rec.u64("trims"),
-        rec.u64("oom_backoffs"),
-        rec.u64("events_dropped"),
+        t("free_empty") as u64,
+        rec.u64_at("trims"),
+        rec.u64_at("oom_backoffs"),
+        rec.u64_at("events_dropped"),
     );
 
     if rec.get("latency").is_some() {
@@ -341,7 +142,7 @@ fn print_record(rec: &Json) {
             "path", "count", "p50", "p90", "p99", "p99.9"
         );
         for path in LAT_PATHS {
-            let count = rec.u64(&format!("latency.{path}.count"));
+            let count = rec.u64_at(&format!("latency.{path}.count"));
             if count == 0 {
                 continue;
             }
@@ -349,10 +150,10 @@ fn print_record(rec: &Json) {
                 "  {:<13} {:>12} {:>10} {:>10} {:>10} {:>10}",
                 path,
                 count,
-                human_nanos(rec.num(&format!("latency.{path}.p50"))),
-                human_nanos(rec.num(&format!("latency.{path}.p90"))),
-                human_nanos(rec.num(&format!("latency.{path}.p99"))),
-                human_nanos(rec.num(&format!("latency.{path}.p999"))),
+                human_nanos(rec.f64_at(&format!("latency.{path}.p50"))),
+                human_nanos(rec.f64_at(&format!("latency.{path}.p90"))),
+                human_nanos(rec.f64_at(&format!("latency.{path}.p99"))),
+                human_nanos(rec.f64_at(&format!("latency.{path}.p999"))),
             );
         }
     }
@@ -361,28 +162,28 @@ fn print_record(rec: &Json) {
         println!("\n== fragmentation ==");
         println!(
             "  small heap: {} committed, {} live, external {}‰",
-            human_bytes(rec.num("fragmentation.small_committed_bytes")),
-            human_bytes(rec.num("fragmentation.small_live_bytes")),
-            rec.u64("fragmentation.external_frag_permille"),
+            human_bytes(rec.f64_at("fragmentation.small_committed_bytes")),
+            human_bytes(rec.f64_at("fragmentation.small_live_bytes")),
+            rec.u64_at("fragmentation.external_frag_permille"),
         );
-        let mut classes: Vec<&Json> = rec.arr("fragmentation.classes").iter().collect();
-        classes.sort_by(|a, b| b.u64("committed_bytes").cmp(&a.u64("committed_bytes")));
+        let mut classes: Vec<&Json> = rec.arr_at("fragmentation.classes").iter().collect();
+        classes.sort_by_key(|c| std::cmp::Reverse(c.u64_at("committed_bytes")));
         for c in classes.iter().take(5) {
             println!(
                 "    class {:>3} (size {:>6}): {:>10} committed, {:>10} live, {:>4}‰",
-                c.u64("class"),
-                c.u64("size"),
-                human_bytes(c.num("committed_bytes")),
-                human_bytes(c.num("live_bytes")),
-                c.u64("frag_permille"),
+                c.u64_at("class"),
+                c.u64_at("size"),
+                human_bytes(c.f64_at("committed_bytes")),
+                human_bytes(c.f64_at("live_bytes")),
+                c.u64_at("frag_permille"),
             );
         }
     }
 
     println!(
         "\n== footprint ==\n  os live {}   peak {}   reconcile ok: {}",
-        human_bytes(rec.num("os.live_bytes")),
-        human_bytes(rec.num("os.peak_bytes")),
+        human_bytes(rec.f64_at("os.live_bytes")),
+        human_bytes(rec.f64_at("os.peak_bytes")),
         matches!(rec.get("reconcile.ok"), Some(Json::Bool(true))),
     );
 
@@ -390,19 +191,19 @@ fn print_record(rec: &Json) {
         println!(
             "\n== retention profile ==\n  stride {}   {} sampled, {} freed, {} live \
              (≈{} live), internal frag {}‰",
-            human_bytes(rec.num("profile.stride_bytes")),
-            rec.u64("profile.samples_taken"),
-            rec.u64("profile.sampled_frees"),
-            rec.u64("profile.live_samples"),
-            human_bytes(rec.num("profile.live_bytes_estimate")),
-            rec.u64("profile.internal_frag_permille"),
+            human_bytes(rec.f64_at("profile.stride_bytes")),
+            rec.u64_at("profile.samples_taken"),
+            rec.u64_at("profile.sampled_frees"),
+            rec.u64_at("profile.live_samples"),
+            human_bytes(rec.f64_at("profile.live_bytes_estimate")),
+            rec.u64_at("profile.internal_frag_permille"),
         );
         print_sites(rec, 5);
     }
 }
 
 fn print_sites(rec: &Json, n: usize) {
-    let sites = rec.arr("profile.sites");
+    let sites = rec.arr_at("profile.sites");
     if sites.is_empty() {
         println!("  (no live samples)");
         return;
@@ -414,10 +215,10 @@ fn print_sites(rec: &Json, n: usize) {
     for s in sites.iter().take(n) {
         println!(
             "  {:<52} {:>12} {:>8} {:>10}",
-            s.str("site"),
-            human_bytes(s.num("live_bytes")),
-            s.u64("live_samples"),
-            human_nanos(s.num("oldest_age_nanos")),
+            s.get("site").and_then(Json::as_str).unwrap_or(""),
+            human_bytes(s.f64_at("live_bytes")),
+            s.u64_at("live_samples"),
+            human_nanos(s.f64_at("oldest_age_nanos")),
         );
     }
 }
@@ -444,7 +245,7 @@ fn print_diff(a: &Json, b: &Json) {
         ("p99 free fast (ns)", "latency.free_fast.p99"),
     ];
     for (label, path) in rows {
-        let (va, vb) = (a.num(path), b.num(path));
+        let (va, vb) = (a.f64_at(path), b.f64_at(path));
         if va == 0.0 && vb == 0.0 {
             continue;
         }

@@ -11,6 +11,7 @@ use lfmalloc_repro::prelude::*;
 #[cfg(feature = "profile")]
 mod profile {
     use super::*;
+    use lfmalloc::json::Json;
     use lfmalloc::ProfileParams;
     use malloc_api::testkit::for_each_seed;
 
@@ -200,6 +201,17 @@ mod profile {
         let json = a.stats().to_json();
         assert!(json.contains("\"profile\":{"), "stats JSON must embed the profile");
         assert!(json.contains("profiling.rs"), "sites must carry source attribution");
+        // Site strings survive the writer -> parser round trip.
+        let snap = a.stats();
+        let v = Json::parse(&snap.to_json()).expect("stats JSON parses");
+        let parsed: Vec<&str> = v
+            .arr_at("profile.sites")
+            .iter()
+            .filter_map(|s| s.get("site").and_then(Json::as_str))
+            .collect();
+        let want: Vec<String> = snap.profile.sites().iter().map(|r| r.site.to_string()).collect();
+        assert!(!want.is_empty());
+        assert_eq!(parsed, want);
 
         for p in live {
             unsafe { a.free(p) };

@@ -214,6 +214,10 @@ fn health_and_maintenance_land_in_stats_surface() {
     assert!(json.contains("\"health\":{\"degraded\":false"), "{json}");
     assert!(json.contains("\"maintain_passes\":1"), "{json}");
     assert!(json.contains("\"free_teardown\":"), "{json}");
+    let v = lfmalloc::json::Json::parse(&json).expect("stats JSON parses");
+    assert_eq!(v.u64_at("totals.malloc_fast"), s.totals.malloc_fast);
+    assert_eq!(v.u64_at("large.alloc"), s.large_alloc);
+    assert_eq!(v.u64_at("health.maintain_passes"), s.health.maintain_passes);
     let mut out = Vec::new();
     a.dump_stats(&mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
